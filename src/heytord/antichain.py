@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import hf as hfmod
 from .errors import EngineError, StageIncompleteError
 from .hset import HSet, Universe
-from .ordinals import OrdinalWitnessPair, hsucc, hunion, ord_add, pair_encode, theta
+from .ordinals import OrdinalWitnessPair, hsucc, hunion, ord_add, theta
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .hset import Universe
 from .intervals import IntervalAlgebra
 from .lemmas import LEMMAS, generate_pool, run_lemma
 from .order import build_upset_algebra, parse_poset, validate_algebra
-from .ordinals import perp, trichotomy, trivial_pair, witness_pair
+from .ordinals import _pair_from_constants, trichotomy, trivial_pair, witness_pair
 from .parsing import apply_definition, apply_definitions, parse_formula
 
 LEMMA_ORDER = ["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "L11"]
@@ -163,10 +163,7 @@ def _run_one_lemma(src_args, lid):
 
 def U_pair(U):
     if isinstance(U.algebra, IntervalAlgebra):
-        from .ordinals import OrdinalWitnessPair
-
-        A, B = U.constants["A"], U.constants["B"]
-        return OrdinalWitnessPair(A, B, perp(U, A, B))
+        return _pair_from_constants(U)
     return trivial_pair(U)
 
 

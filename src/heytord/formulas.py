@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .errors import DepthExceededError, EngineError
 from .hset import PBound, Universe
-from .templates import Template, rename_param
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,7 @@ def eval_formula(U: Universe, phi, env=None):
                 raise DepthExceededError("quantifier over a family inside two live parameters")
             sym = U._fresh_sym(taken)
             node = PBound(fam.elem, sym, fam.domain)
-            lab = fam.label
-            if isinstance(lab, Template):
-                lab = rename_param(lab, "q", sym)
+            lab = U._formal_as(fam.label, sym)
             sub = dict(env)
             sub[phi.var] = node
             inner = eval_formula(U, phi.body, sub)

@@ -13,6 +13,7 @@ EMPTY = frozenset()
 
 _key_cache: dict = {}
 _rank_cache: dict = {}
+_numerals: list = [EMPTY]
 
 
 def hf_rank(x: frozenset) -> int:
@@ -36,10 +37,15 @@ def hf_sorted(xs):
 
 
 def numeral(n: int) -> frozenset:
-    x = EMPTY
-    for _ in range(n):
-        x = frozenset(x | {x})
-    return x
+    """The von Neumann numeral n, one shared object per n.
+
+    Each numeral is built from the shared previous one, so equal numerals and
+    their members are identical objects and compare without recursing; two
+    equal but distinct copies of numeral n take about 2**n steps to compare."""
+    while len(_numerals) <= n:
+        x = _numerals[-1]
+        _numerals.append(x | {x})
+    return _numerals[max(n, 0)]
 
 
 def as_numeral(x: frozenset):

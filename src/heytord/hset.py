@@ -8,16 +8,21 @@ values follow the standard clauses
     [u = v]  = meet over entries (e,l) of u of  l imp  [e in v],  both sides
 
 with family entries contributing infinite joins/meets computed symbolically
-through interval templates.  Nodes are hash-consed per universe; both truth
-functions are memoized on interned ids and reproducible with the memo off.
+through interval templates.  Nodes and truth values are hash-consed per
+universe; both truth functions are memoized on node keys, the lattice
+operations are answered from a table keyed by value ids, and everything is
+reproducible with the memo off.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import cache, partial
 from typing import NamedTuple
 
 from . import hf as hfmod
 from .errors import DepthExceededError, NotEnumerableError
+from .order import UpsetAlgebra
 from .templates import (
     Template,
     eliminate_param,
@@ -35,15 +40,16 @@ class Family(NamedTuple):
 
 
 class HSet:
-    """Interned H-valued set node."""
+    """Interned H-valued set node; key is its truth-memo key."""
 
-    __slots__ = ("id", "entries", "families", "rank")
+    __slots__ = ("id", "entries", "families", "rank", "key")
 
     def __init__(self, id, entries, families, rank):
         self.id = id
         self.entries = entries
         self.families = families
         self.rank = rank
+        self.key = (id,)
 
     def __repr__(self):
         return f"<HSet #{self.id} rank {self.rank}>"
@@ -70,11 +76,71 @@ class PBound(NamedTuple):
     sym: str
     domain: tuple
 
+    @property
+    def key(self):
+        return (self.ph.id, self.sym, self.domain)
+
+
+def _value_op(algebra, op, x, y):
+    """meet, join or imp of two values, computed afresh; pointwise on templates."""
+    if isinstance(x, Template) or isinstance(y, Template):
+        return template_op(x, y, op)
+    return getattr(algebra, op)(x, y)
+
+
+_OPS = ("meet", "join", "imp")
+
+
+def _interner(vals):
+    """(vid, vals, by_obj) for values interned in first-seen order after vals.
+
+    vid(x) is the id of x's canonical value vals[id].  by_obj maps id() of
+    canonical values only, which vals keeps alive, so an id() found there
+    cannot belong to another object; other values are looked up by value."""
+    by_value = {v: i for i, v in enumerate(vals)}
+    by_obj = {id(v): i for i, v in enumerate(vals)}
+
+    def vid(x):
+        i = by_obj.get(id(x))
+        if i is None:
+            i = by_value.get(x)
+            if i is None:
+                i = by_value[x] = len(vals)
+                vals.append(x)
+                by_obj[id(x)] = i
+        return i
+
+    return vid, vals, by_obj
+
+
+def _tabled_op(op, algebra, table, vid, vals, by_obj):
+    """op on interned values, answered from table and filled on first use."""
+
+    def tabled(x, y):
+        try:
+            return table[op, by_obj[id(x)], by_obj[id(y)]]
+        except KeyError:  # a first use, or a value not yet interned
+            key = (op, vid(x), vid(y))
+            out = table.get(key)
+            if out is None:
+                out = table[key] = vals[vid(_value_op(algebra, op, x, y))]
+            return out
+
+    return tabled
+
+
+def _eliminate(val, sym, mode):
+    if isinstance(val, Template) and sym in [n for n, _ in val.params]:
+        return eliminate_param(val, sym, mode)
+    return val
+
+
+def _rename_formal(lab, sym):
+    return rename_param(lab, FORMAL, sym) if isinstance(lab, Template) else lab
+
 
 def _node_key(n):
-    if isinstance(n, HSet):
-        return ("h", n.id)
-    return ("p", n.ph.id, n.sym, n.domain)
+    return n.key
 
 
 def _node_syms(n):
@@ -84,7 +150,18 @@ def _node_syms(n):
 
 
 class Universe:
-    """One algebra, one hash-cons table, one memo table."""
+    """One algebra; hash-cons tables for nodes and for truth values; one memo.
+
+    Every truth value has a small int id in its universe, and node keys use
+    label ids.  An up-set mask is its own id; interval sets and templates are
+    interned in first-seen order, so bottom is id 0 in every algebra.  With
+    the memo on, the meet, join and imp of interval values, and eliminate and
+    the renaming of family labels in every algebra, are answered from one
+    table keyed by op and ids, filled on first use; masks meet and join by &
+    and |, and their imp is cached per pair.  ``memo=False`` turns off these
+    caches and the truth memo alike: every value is then computed afresh,
+    which makes it the cache-free reference.
+    """
 
     def __init__(self, algebra, memo=True):
         self.algebra = algebra
@@ -96,88 +173,94 @@ class Universe:
         self._embed_cache = {}
         self._numeral_ids = {}
         self.constants = {}
+        self._bot, self._top = algebra.bottom(), algebra.top()
+        self._table = {} if memo else None
+        self._bind_values()
         self.empty = self.make_hset(())
         self._add_memo = {}
 
+    # --- truth values -----------------------------------------------------------
+
+    def _bind_values(self):
+        """Bind _vid (value -> id), _vals (id -> canonical value) and the
+        lattice operations vmeet, vjoin and vimp."""
+        alg, table = self.algebra, self._table
+        if isinstance(alg, UpsetAlgebra):
+            self._vid, self._vals = operator.index, range(alg.full + 1)
+        else:
+            self._vid, self._vals, by_obj = _interner([self._bot, self._top])
+        if table is None:
+            ops = (partial(_value_op, alg, op) for op in _OPS)
+        elif isinstance(alg, UpsetAlgebra):  # meet and join of masks are & and |
+            ops = (operator.and_, operator.or_, cache(alg.imp))
+        else:
+            ops = (_tabled_op(op, alg, table, self._vid, self._vals, by_obj) for op in _OPS)
+        self.vmeet, self.vjoin, self.vimp = ops
+
+    def _tabled(self, key, compute, *args):
+        """compute(*args) as a canonical value, from the table when it is on."""
+        if self._table is None:
+            return compute(*args)
+        out = self._table.get(key)
+        if out is None:
+            out = self._table[key] = self._vals[self._vid(compute(*args))]
+        return out
+
+    def vneg(self, x):
+        return self.vimp(x, self._bot)
+
+    def eliminate(self, val, sym, mode):
+        """Quantify the live parameter sym out of val: mode 'meet' or 'join'."""
+        return self._tabled(("elim", self._vid(val), sym, mode), _eliminate, val, sym, mode)
+
+    def _formal_as(self, lab, sym):
+        """A stored family label, with the formal parameter renamed to sym."""
+        return self._tabled(("ren", self._vid(lab), sym), _rename_formal, lab, sym)
+
     # --- construction -------------------------------------------------------
 
-    def _label_key(self, l):
-        if isinstance(l, Template):
-            return ("t", l.params, l.cuts, l.table)
-        return ("e", l)
-
-    def _label_join(self, a, b):
-        if isinstance(a, Template) or isinstance(b, Template):
-            return template_op(a, b, "join")
-        return self.algebra.join(a, b)
-
-    def _label_is_bottom(self, l):
-        if isinstance(l, Template):
-            return False  # constants collapse, so a Template is never constant-bottom
-        return l == self.algebra.bottom()
+    def _merged(self, items):
+        """(key, payload, label id) for (key, payload, label) items, sorted by
+        key: bottom labels dropped, the labels of a repeated key joined."""
+        vid, vals, join = self._vid, self._vals, self.vjoin
+        merged = {}
+        for k, payload, lab in items:
+            i = vid(lab)
+            if i == 0:  # bottom
+                continue
+            old = merged.get(k)
+            if old is not None:
+                i = vid(join(vals[old[1]], lab))
+            merged[k] = (payload, i)
+        return [(k, *merged[k]) for k in sorted(merged)]
 
     def make_hset(self, entries, families=()) -> HSet:
-        merged = {}
-        order = []
-        for child, lab in entries:
-            if self._label_is_bottom(lab):
-                continue
-            k = child.id
-            if k in merged:
-                merged[k] = (child, self._label_join(merged[k][1], lab))
-            else:
-                merged[k] = (child, lab)
-                order.append(k)
-        ent = tuple(merged[k] for k in sorted(order))
-        fmerged = {}
-        forder = []
-        for fam in families:
-            if self._label_is_bottom(fam.label):
-                continue
-            fk = (fam.domain, fam.elem.id)
-            if fk in fmerged:
-                old = fmerged[fk]
-                fmerged[fk] = Family(fam.domain, fam.elem, self._label_join(old.label, fam.label))
-            else:
-                fmerged[fk] = fam
-                forder.append(fk)
-        fams = tuple(fmerged[k] for k in sorted(forder, key=lambda t: (t[1], t[0])))
-        key = (
-            tuple((c.id, self._label_key(l)) for c, l in ent),
-            tuple((f.domain, f.elem.id, self._label_key(f.label)) for f in fams),
-        )
+        ent = self._merged((c.id, c, l) for c, l in entries)
+        fams = self._merged(((f.elem.id, f.domain), f, f.label) for f in families)
+        key = (tuple((k, i) for k, _, i in ent), tuple((k, i) for k, _, i in fams))
         node = self._hs.get(key)
         if node is None:
-            rank = 0
-            for c, _ in ent:
-                rank = max(rank, c.rank + 1)
-            for f in fams:
-                rank = max(rank, f.elem.rank + 1)
-            node = HSet(self._next_id, ent, fams, rank)
+            vals = self._vals
+            ranks = [c.rank + 1 for _, c, _ in ent] + [f.elem.rank + 1 for _, f, _ in fams]
+            rank = max(ranks, default=0)
+            node = HSet(
+                self._next_id,
+                tuple((c, vals[i]) for _, c, i in ent),
+                tuple(Family(f.domain, f.elem, vals[i]) for _, f, i in fams),
+                rank,
+            )
             self._next_id += 1
             self._hs[key] = node
         return node
 
     def make_param_hset(self, entries) -> ParamHSet:
-        merged = {}
-        order = []
-        for child, lab in entries:
-            if self._label_is_bottom(lab):
-                continue
-            k = (0, child.id) if isinstance(child, HSet) else (1, child.id)
-            if k in merged:
-                merged[k] = (child, self._label_join(merged[k][1], lab))
-            else:
-                merged[k] = (child, lab)
-                order.append(k)
-        ent = tuple(merged[k] for k in sorted(order))
-        key = tuple(
-            ((0, c.id) if isinstance(c, HSet) else (1, c.id), self._label_key(l)) for c, l in ent
-        )
+        ent = self._merged(((isinstance(c, ParamHSet), c.id), c, l) for c, l in entries)
+        key = tuple((k, i) for k, _, i in ent)
         node = self._ph.get(key)
         if node is None:
-            rank = 1 + max((c.rank for c, _ in ent), default=0)
-            node = ParamHSet(self._next_id, ent, rank)
+            vals = self._vals
+            rank = 1 + max((c.rank for _, c, _ in ent), default=0)
+            node = ParamHSet(self._next_id, tuple((c, vals[i]) for _, c, i in ent), rank)
             self._next_id += 1
             self._ph[key] = node
         return node
@@ -186,7 +269,7 @@ class Universe:
         """Check-set embedding of a hereditarily finite set: all labels top."""
         node = self._embed_cache.get(x)
         if node is None:
-            top = self.algebra.top()
+            top = self._top
             node = self.make_hset([(self.embed(c), top) for c in hfmod.hf_sorted(x)])
             self._embed_cache[x] = node
         return node
@@ -200,7 +283,7 @@ class Universe:
         n = self._numeral_ids.get(u.id)
         if n is not None:
             return n
-        if u.families or any(l != self.algebra.top() for _, l in u.entries):
+        if u.families or any(l != self._top for _, l in u.entries):
             return None
         cand = len(u.entries)
         if self.numeral(cand) is u:
@@ -210,29 +293,7 @@ class Universe:
     def bind_constant(self, name: str, u: HSet):
         self.constants[name] = u
 
-    # --- truth values ---------------------------------------------------------
-
-    def _vop(self, x, y, op):
-        if isinstance(x, Template) or isinstance(y, Template):
-            return template_op(x, y, op)
-        return getattr(self.algebra, op)(x, y)
-
-    def vmeet(self, x, y):
-        return self._vop(x, y, "meet")
-
-    def vjoin(self, x, y):
-        return self._vop(x, y, "join")
-
-    def vimp(self, x, y):
-        return self._vop(x, y, "imp")
-
-    def vneg(self, x):
-        return self._vop(x, self.algebra.bottom(), "imp")
-
-    def eliminate(self, val, sym, mode):
-        if isinstance(val, Template) and sym in [n for n, _ in val.params]:
-            return eliminate_param(val, sym, mode)
-        return val
+    # --- membership and equality ----------------------------------------------
 
     def _node_entries(self, n):
         if isinstance(n, HSet):
@@ -241,9 +302,7 @@ class Universe:
         for child, lab in n.ph.entries:
             if isinstance(child, ParamHSet):
                 child = PBound(child, n.sym, n.domain)
-            if isinstance(lab, Template):
-                lab = rename_param(lab, FORMAL, n.sym)
-            out.append((child, lab))
+            out.append((child, self._formal_as(lab, n.sym)))
         return out
 
     def _node_families(self, n):
@@ -263,9 +322,7 @@ class Universe:
         taken = {s for s, _ in _node_syms(other)}
         sym = self._fresh_sym(taken)
         node = PBound(fam.elem, sym, fam.domain)
-        lab = fam.label
-        if isinstance(lab, Template):
-            lab = rename_param(lab, FORMAL, sym)
+        lab = self._formal_as(fam.label, sym)
         if mode == "all":
             inner = self.truth_mem(node, other)
             return self.eliminate(self.vimp(lab, inner), sym, "meet")
@@ -273,17 +330,16 @@ class Universe:
         return self.eliminate(self.vmeet(lab, inner), sym, "join")
 
     def truth_eq(self, a, b):
-        ka, kb = _node_key(a), _node_key(b)
+        ka, kb = a.key, b.key
         if ka == kb:
-            return self.algebra.top()
-        key = ("eq", min(ka, kb), max(ka, kb))
+            return self._top
+        key = ("eq", ka, kb) if ka < kb else ("eq", kb, ka)
         if self.memo_enabled:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        top = self.algebra.top()
-        bot = self.algebra.bottom()
-        val = top
+        bot = self._bot
+        val = self._top
         for x, other in ((a, b), (b, a)):
             for child, lab in self._node_entries(x):
                 if val == bot:
@@ -298,13 +354,13 @@ class Universe:
         return val
 
     def truth_mem(self, u, v):
-        key = ("mem", _node_key(u), _node_key(v))
+        key = ("mem", u.key, v.key)
         if self.memo_enabled:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        top = self.algebra.top()
-        val = self.algebra.bottom()
+        top = self._top
+        val = self._bot
         for child, lab in self._node_entries(v):
             if val == top:
                 break
@@ -373,7 +429,7 @@ class Universe:
             rest = []
             for c2, l2 in entries:
                 if self.truth_eq(child, c2) == self.algebra.top():
-                    lab = self._label_join(lab, l2)
+                    lab = self.vjoin(lab, l2)
                 else:
                     rest.append((c2, l2))
             entries = rest

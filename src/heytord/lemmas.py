@@ -24,7 +24,6 @@ from .antichain import (
     perp_lift,
     pow_lift,
     subset_encode,
-    subset_decode,
     tc_stage,
 )
 from .hset import Universe
@@ -36,7 +35,6 @@ from .ordinals import (
     pair_encode,
     perp,
     theta,
-    trichotomy,
     trivial_pair,
 )
 
@@ -372,14 +370,3 @@ _PIPELINE_CHECKS = {
     "L11": _run_l11,
 }
 
-
-def decode_roundtrip_failures(U, f):
-    """Round-trip every subset of a MetaFunction's domain; returns mismatches."""
-    bad = []
-    for r in range(len(f.domain) + 1):
-        for y in itertools.combinations(f.domain, r):
-            tau = subset_encode(U, f, frozenset(y))
-            keys, residue = subset_decode(U, f, tau)
-            if set(keys) != set(y) or residue:
-                bad.append((y, keys, residue))
-    return bad

@@ -110,10 +110,16 @@ def is_ord(U: Universe, u: HSet):
 
 
 def perp(U: Universe, a: HSet, b: HSet):
-    """Incomparability measurement: neg(a in succ b) meet neg(b in succ a)."""
-    left = U.vneg(U.truth_mem(a, hsucc(U, b)))
-    right = U.vneg(U.truth_mem(b, hsucc(U, a)))
-    return U.vmeet(left, right)
+    """Incomparability measurement: neg(a in succ b) meet neg(b in succ a),
+    computed as neg(trichotomy(a, b)) without building either successor.
+
+    This is exact.  succ b adds the single entry (b @ top) to the entries of
+    b, and it never merges with one of them, because a node's children all
+    have smaller ids than the node.  So [a in succ b] = [a in b] or [a = b],
+    and likewise for succ a.  Since neg(p or q) = neg p and neg q holds in
+    every Heyting algebra, the meet of the two negations is the negation of
+    [a in b] or [a = b] or [b in a]."""
+    return U.vneg(trichotomy(U, a, b))
 
 
 def trichotomy(U: Universe, a: HSet, b: HSet):

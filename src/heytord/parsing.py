@@ -4,8 +4,6 @@ algebra (up-set braces over poset names, or the interval grammar)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import formulas as F
 from .errors import LiteralParseError
 from .hset import FORMAL, Family, HSet, Universe

@@ -116,6 +116,24 @@ def test_console_script_entry_point(chain2_file):
     assert proc.returncode == 2 and "error:" in proc.stderr
 
 
+def test_deep_numerals_stay_polynomial(tmp_path):
+    """Comparing two equal but distinct copies of the numeral n takes about
+    2**n steps; with one shared object per numeral this runs in about a second.
+    The timeout makes a regression fail instead of hang."""
+    import subprocess
+    import sys
+
+    chain1 = tmp_path / "chain1.poset"
+    chain1.write_text(poset_file_text(zoo()["chain1"]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heytord", "eval", "--poset", str(chain1), "#100 in #101"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "{a}"
+
+
 def test_deterministic_json(chain2_file, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
