@@ -13,7 +13,13 @@ import sys
 
 from . import hf as hfmod
 from .antichain import build_antichain, minimal_gamma, pipeline_report
-from .errors import EngineError, LiteralParseError, MalformedPosetError, StageIncompleteError
+from .errors import (
+    DepthExceededError,
+    EngineError,
+    LiteralParseError,
+    MalformedPosetError,
+    StageIncompleteError,
+)
 from .formulas import eval_formula
 from .hset import Universe
 from .intervals import IntervalAlgebra
@@ -21,9 +27,6 @@ from .lemmas import LEMMAS, generate_pool, run_lemma
 from .order import build_upset_algebra, parse_poset, validate_algebra
 from .ordinals import _pair_from_constants, trichotomy, trivial_pair, witness_pair
 from .parsing import apply_definition, apply_definitions, parse_formula
-
-LEMMA_ORDER = ["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "L11"]
-
 
 def _universe(args) -> Universe:
     if getattr(args, "interval", False) and getattr(args, "poset", None):
@@ -168,10 +171,10 @@ def U_pair(U):
 
 
 def cmd_lemma(args):
-    ids = LEMMA_ORDER if args.lemma == "all" else [s.strip() for s in args.lemma.split(",")]
+    ids = list(LEMMAS) if args.lemma == "all" else [s.strip() for s in args.lemma.split(",")]
     for lid in ids:
         if lid not in LEMMAS:
-            raise EngineError(f"unknown lemma {lid}; known: {', '.join(LEMMA_ORDER)}")
+            raise EngineError(f"unknown lemma {lid}; known: {', '.join(LEMMAS)}")
     src_args = vars(args).copy()
     reports = []
     if args.jobs > 1 and len(ids) > 1:
@@ -230,6 +233,15 @@ def cmd_antichain(args):
     return 0 if (f.certified or not expected_top) else 1
 
 
+_COMMANDS = {
+    "algebra": cmd_algebra,
+    "eval": cmd_eval,
+    "lemma": cmd_lemma,
+    "witness": cmd_witness,
+    "antichain": cmd_antichain,
+}
+
+
 def execute(argv) -> int:
     ap = build_parser()
     try:
@@ -237,17 +249,10 @@ def execute(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "algebra":
-            return cmd_algebra(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "lemma":
-            return cmd_lemma(args)
-        if args.command == "witness":
-            return cmd_witness(args)
-        if args.command == "antichain":
-            return cmd_antichain(args)
-        return 2
+        try:
+            return _COMMANDS[args.command](args)
+        except RecursionError as exc:
+            raise DepthExceededError("input nests too deeply for the recursive parsers and semantics") from exc
     except StageIncompleteError as exc:
         print(f"error: {exc} (use --gamma {exc.minimal} or higher)", file=sys.stderr)
         return 2

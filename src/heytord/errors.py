@@ -34,7 +34,8 @@ class UnrepresentableJoinError(EngineError):
 
 
 class DepthExceededError(EngineError):
-    """Raised when more than two symbolic family parameters would be live at once."""
+    """Raised when more than two symbolic family parameters would be live at
+    once, or when an input nests deeper than the recursion limit allows."""
 
 
 class UnsupportedAddendError(EngineError):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DepthExceededError, EngineError
-from .hset import PBound, Universe
+from .errors import EngineError
+from .hset import PBound, Universe, _node_syms
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,7 @@ def eval_formula(U: Universe, phi, env=None):
             else:
                 acc = U.vjoin(acc, U.vmeet(lab, inner))
         for fam in U._node_families(bound):
-            taken = _env_syms(env) | {s for s, _ in _node_syms_of(bound)}
-            if len(taken) + 1 > 2:
-                raise DepthExceededError("quantifier over a family inside two live parameters")
+            taken = _env_syms(env) | {s for s, _ in _node_syms(bound)}
             sym = U._fresh_sym(taken)
             node = PBound(fam.elem, sym, fam.domain)
             lab = U._formal_as(fam.label, sym)
@@ -198,12 +196,6 @@ def eval_formula(U: Universe, phi, env=None):
                 acc = U.vjoin(acc, U.eliminate(U.vmeet(lab, inner), sym, "join"))
         return acc
     raise EngineError(f"bad formula node {phi!r}")
-
-
-def _node_syms_of(node):
-    if isinstance(node, PBound):
-        return ((node.sym, node.domain),)
-    return ()
 
 
 def ordinal_formula(var: str = "x"):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from . import formulas as F
 from .errors import LiteralParseError
 from .hset import FORMAL, Family, HSet, Universe
-from .intervals import parse_rational
+from .intervals import IntervalAlgebra, parse_rational
 from .ivcore import NEG_INF, POS_INF, is_inf
 from .templates import DOM_ALL, Template, dom_interval, template_from_body
 
@@ -183,6 +183,11 @@ class HSetParser:
         if param is not None:
             pname, dom = param
             if f"!{pname}" in text or _uses_param(text, pname):
+                if not isinstance(self.U.algebra, IntervalAlgebra):
+                    raise LiteralParseError(
+                        f"label {text!r} uses the family parameter {pname}; "
+                        "parametric labels need the interval algebra"
+                    )
                 return _parse_label_template(text, pname, dom)
         return self.U.algebra.parse_element(text)
 

@@ -1,12 +1,15 @@
 """Parametric families of interval sets, closed under the lattice operations.
 
 A Template denotes a function from one or two rational parameters to open
-subsets of the rationals.  It is stored piecewise by *order configuration*:
-the finitely many ways the parameters can sit relative to a fixed skeleton of
-rational cut points (at a cut, or inside a gap, ordered against each other
-when they share a gap).  Within one configuration every endpoint comparison
-is decided, so lattice operations and the infinite meets/joins reduce to the
-ordinary sweep over a finite linear order of endpoint symbols.
+subsets of the rationals.  What gets enumerated is the *arrangement*: a slot
+list that orders a fixed skeleton of rational cut points together with the
+live parameter symbols, each symbol at a cut or at a fresh value inside a
+gap, where it is tied with or ordered against the other symbols.  Within one
+arrangement every endpoint comparison is decided, so lattice operations and
+the infinite meets/joins reduce to the ordinary sweep over a finite linear
+order of endpoint slots.  Rows are stored by the *order configuration* read
+off each arrangement; a template's body in a finer arrangement (more cuts,
+more symbols) is the row of the arrangement it projects to.
 
 Infinite meets take the interior of the symbolic intersection; infinite joins
 are unions of opens and need no interior step.  Both are computed exactly by
@@ -16,8 +19,10 @@ and the surviving parameters.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import ivcore
 from .errors import ArityError, UnrepresentableJoinError, UnrepresentableMeetError
@@ -47,49 +52,10 @@ def _dom_has_value(dom, v) -> bool:
     return dom[1] < v < dom[2]
 
 
-def _gap_bounds(cuts, g):
-    lo = cuts[g - 1] if g > 0 else NEG_INF
-    hi = cuts[g] if g < len(cuts) else POS_INF
-    return lo, hi
-
-
 def _gap_in_domain(cuts, g, dom) -> bool:
     if dom == DOM_ALL:
         return True
-    lo, hi = _gap_bounds(cuts, g)
-    return (not is_inf(lo)) and (not is_inf(hi)) and dom[1] <= lo and hi <= dom[2]
-
-
-def _placement_options(cuts, dom, prior):
-    """Placements of the next parameter given the ones already placed."""
-    opts = []
-    for i, c in enumerate(cuts):
-        if _dom_has_value(dom, c):
-            opts.append(("pt", i))
-    gap0 = None
-    if prior and prior[0][1][0] == "gap":
-        gap0 = prior[0][1][1]
-    for g in range(len(cuts) + 1):
-        if not _gap_in_domain(cuts, g, dom):
-            continue
-        if gap0 == g:
-            opts.extend([("gap", g, "lt"), ("gap", g, "eq"), ("gap", g, "gt")])
-        else:
-            opts.append(("gap", g, None))
-    return opts
-
-
-def _enum_configs(cuts, params):
-    configs = [()]
-    placed_lists = [[]]
-    for name, dom in params:
-        nxt_cfg, nxt_placed = [], []
-        for cfg, placed in zip(configs, placed_lists):
-            for pl in _placement_options(cuts, dom, placed):
-                nxt_cfg.append(cfg + (pl,))
-                nxt_placed.append(placed + [(name, pl)])
-        configs, placed_lists = nxt_cfg, nxt_placed
-    return configs
+    return 0 < g < len(cuts) and dom[1] <= cuts[g - 1] and cuts[g] <= dom[2]
 
 
 def _placement_key(pl):
@@ -103,33 +69,6 @@ def _cfg_key(cfg):
 
 
 # --- arrangements: explicit linear orders of cuts and live symbols ----------
-
-
-def _build_arrangement(cuts, placed):
-    """Slot list for params placed per a config.  Slots are ('c', i, syms) for
-    cut i or ('x', g, syms) for a fresh value inside gap g, in increasing order."""
-    gapfree = {g: [] for g in range(len(cuts) + 1)}
-    cutsyms = {i: set() for i in range(len(cuts))}
-    for name, pl in placed:
-        if pl[0] == "pt":
-            cutsyms[pl[1]].add(name)
-        else:
-            g, rel = pl[1], pl[2]
-            if rel is None or not gapfree[g]:
-                gapfree[g].append({name})
-            elif rel == "eq":
-                gapfree[g][0].add(name)
-            elif rel == "lt":
-                gapfree[g].insert(0, {name})
-            else:
-                gapfree[g].append({name})
-    slots = []
-    for g in range(len(cuts) + 1):
-        for s in gapfree[g]:
-            slots.append(("x", g, frozenset(s)))
-        if g < len(cuts):
-            slots.append(("c", g, frozenset(cutsyms[g])))
-    return slots
 
 
 def _slot_rep(slot, cuts):
@@ -201,11 +140,8 @@ def _place_new(slots, cuts, dom, name):
             if slot[0] == "c" and slot[1] == g:
                 end = i
                 break
+        assert all(slots[j][0] == "x" and slots[j][1] == g for j in range(start, end))
         for pos in range(start, end + 1):
-            in_gap = all(
-                slots[j][0] == "x" and slots[j][1] == g for j in range(start, end)
-            )
-            assert in_gap
             ns = slots[:pos] + [("x", g, frozenset({name}))] + slots[pos:]
             lo = _pos_ep(slots, cuts, pos - 1)
             hi = _pos_ep(slots, cuts, pos)
@@ -238,6 +174,16 @@ def _arrangement_config(slots, params):
                     rel = "gt"
         cfg.append(("gap", g, rel))
     return tuple(cfg)
+
+
+def _arrangements(cuts, params):
+    """Every arrangement of params over the cuts, one per configuration.  Slots
+    are ('c', i, syms) for cut i or ('x', g, syms) for a fresh value inside
+    gap g, in increasing order; syms are the parameters sitting there."""
+    arrs = [[("c", i, frozenset()) for i in range(len(cuts))]]
+    for name, dom in params:
+        arrs = [ns for slots in arrs for ns, _ in _place_new(slots, cuts, dom, name)]
+    return arrs
 
 
 # --- templates ---------------------------------------------------------------
@@ -296,13 +242,13 @@ def _collect_cuts(params, bodies_constants=()):
     return tuple(sorted(vals))
 
 
-def _normalize_rows(params, cuts, body_fn):
+def _rows(params, cuts, raw_at):
+    """(config, body) rows, one per arrangement; raw_at gives its raw body."""
     rows = []
-    for cfg in _enum_configs(cuts, params):
-        slots = _build_arrangement(cuts, [(p[0], pl) for p, pl in zip(params, cfg)])
-        raw = ivcore.normalize(_body_raw(slots, cuts, body_fn(cfg)))
+    for slots in _arrangements(cuts, params):
+        raw = raw_at(slots)
         assert all(not lcl and not hcl for _, _, lcl, hcl in raw)
-        rows.append((cfg, _raw_body(slots, cuts, raw)))
+        rows.append((_arrangement_config(slots, params), _raw_body(slots, cuts, raw)))
     return rows
 
 
@@ -311,14 +257,15 @@ def template_from_body(body, params):
     ('s', name) or infinities); emptiness and merging are settled per config."""
     consts = [ep[1] for pair in body for ep in pair if isinstance(ep, tuple) and ep[0] == "v"]
     cuts = _collect_cuts(params, consts)
-    return _mk(params, cuts, _normalize_rows(params, cuts, lambda cfg: body))
+    return _mk(params, cuts, _rows(params, cuts, lambda slots: ivcore.normalize(_body_raw(slots, cuts, body))))
+
+
+def _const_body(x: IntervalSet):
+    return tuple((("v", lo) if not is_inf(lo) else lo, ("v", hi) if not is_inf(hi) else hi) for lo, hi in x.ivs)
 
 
 def constant_template(x: IntervalSet, params):
-    body = tuple((("v", lo) if not is_inf(lo) else lo, ("v", hi) if not is_inf(hi) else hi) for lo, hi in x.ivs)
-    consts = [v for lo, hi in x.ivs for v in (lo, hi) if not is_inf(v)]
-    cuts = _collect_cuts(params, consts)
-    return _mk(params, cuts, _normalize_rows(params, cuts, lambda cfg: body))
+    return template_from_body(_const_body(x), params)
 
 
 def rename_param(t: Template, old: str, new: str) -> Template:
@@ -333,69 +280,23 @@ def rename_param(t: Template, old: str, new: str) -> Template:
     return _mk(params, t.cuts, rows)
 
 
-def _project_placement(pl, cuts_new, cuts_old):
-    """Old-skeleton placement (without rel) for a new-skeleton placement."""
-    import bisect
-
-    if pl[0] == "pt":
-        c = cuts_new[pl[1]]
-        if c in cuts_old:
-            return ("pt", cuts_old.index(c)), ("v", c)
-        return ("gap", bisect.bisect_left(cuts_old, c), None), ("v", c)
-    lo, hi = _gap_bounds(cuts_new, pl[1])
-    if is_inf(lo):
-        g_old = 0
-    else:
-        g_old = bisect.bisect_right(cuts_old, lo)
-    return ("gap", g_old, None), ("gap", lo, hi)
-
-
-def _value_order(reg1, reg0):
-    """lt/eq/gt of region 1 against region 0 when both are decided."""
-    if reg1[0] == "v" and reg0[0] == "v":
-        if reg1[1] == reg0[1]:
-            return "eq"
-        return "lt" if reg1[1] < reg0[1] else "gt"
-    if reg1[0] == "v":
-        lo, hi = reg0[1], reg0[2]
-        return "lt" if reg1[1] <= lo else "gt"
-    if reg0[0] == "v":
-        lo, hi = reg1[1], reg1[2]
-        return "gt" if reg0[1] <= lo else "lt"
-    if reg1[1] >= reg0[2]:
-        return "gt"
-    if reg0[1] >= reg1[2]:
-        return "lt"
-    return None  # same gap: caller supplies the relation from the finer config
-
-
-def _rebuild(t: Template, params, cuts):
-    """Re-express t over a superset skeleton / parameter list (old params keep
-    their names and domains; new params may be added)."""
-    old_names = [n for n, _ in t.params]
-
-    def body_fn(cfg):
-        pos = {params[i][0]: cfg[i] for i in range(len(params))}
-        old_cfg = []
-        regions = {}
-        for j, name in enumerate(old_names):
-            pl, region = _project_placement(pos[name], cuts, list(t.cuts))
-            regions[name] = region
-            if j == 1 and pl[0] == "gap":
-                pl0 = old_cfg[0]
-                if pl0[0] == "gap" and pl0[1] == pl[1]:
-                    rel = _value_order(regions[name], regions[old_names[0]])
-                    if rel is None:
-                        new_pl1, new_pl0 = pos[name], pos[old_names[0]]
-                        if new_pl1[0] == "gap" and new_pl0[0] == "gap" and new_pl1[1] == new_pl0[1]:
-                            rel = new_pl1[2] if new_pl1[2] is not None else "eq"
-                        else:
-                            rel = "eq"
-                    pl = ("gap", pl[1], rel)
-            old_cfg.append(pl)
-        return t.body_for(tuple(old_cfg))
-
-    return _mk(params, cuts, _normalize_rows(params, cuts, body_fn))
+def _body_at(x, slots, cuts):
+    """Body of a constant or template x in an arrangement over cuts, which
+    hold x's own cuts.  A template's body is its row for the arrangement
+    projected onto its coarser cuts: a dropped cut becomes a fresh value in
+    the old gap, and symbols of other parameters are ignored."""
+    if isinstance(x, IntervalSet):
+        return _const_body(x)
+    old = x.cuts
+    proj = []
+    for kind, i, syms in slots:
+        if kind == "x":
+            proj.append(("x", bisect.bisect_right(old, cuts[i - 1]) if i else 0, syms))
+        elif cuts[i] in old:
+            proj.append(("c", old.index(cuts[i]), syms))
+        else:
+            proj.append(("x", bisect.bisect_left(old, cuts[i]), syms))
+    return x.body_for(_arrangement_config(proj, x.params))
 
 
 def merge_param_lists(*plists):
@@ -408,15 +309,6 @@ def merge_param_lists(*plists):
     return tuple(sorted(doms.items()))
 
 
-def as_template(x, params):
-    if isinstance(x, Template):
-        if tuple(x.params) == tuple(params) or not params:
-            return x
-        cuts = sorted(set(x.cuts) | set(_collect_cuts(params)))
-        return _rebuild(x, tuple(params), tuple(cuts))
-    return constant_template(x, params)
-
-
 _RAW_OPS = {
     "meet": lambda a, b: ivcore.intersect(a, b),
     "join": lambda a, b: ivcore.union(a, b),
@@ -425,34 +317,20 @@ _RAW_OPS = {
 
 
 def template_op(x, y, opname):
-    """Pointwise lattice operation on templates / interval sets; collapses back
-    to a plain IntervalSet when the result is constant."""
-    px = x.params if isinstance(x, Template) else ()
-    py = y.params if isinstance(y, Template) else ()
-    params = merge_param_lists(px, py)
-    a = as_template(x, params)
-    b = as_template(y, params)
-    cuts = tuple(sorted(set(a.cuts) | set(b.cuts)))
-    a = _rebuild(a, params, cuts) if a.cuts != cuts else a
-    b = _rebuild(b, params, cuts) if b.cuts != cuts else b
+    """Pointwise lattice operation on templates / interval sets, read in every
+    arrangement of both operands' parameters over both operands' cuts;
+    collapses back to a plain IntervalSet when the result is constant."""
+    params = merge_param_lists(*(z.params for z in (x, y) if isinstance(z, Template)))
+    consts = [v for z in (x, y) for v in (z.cuts if isinstance(z, Template) else chain(*z.ivs)) if not is_inf(v)]
+    cuts = _collect_cuts(params, consts)
     op = _RAW_OPS[opname]
-    rows = []
-    for cfg in _enum_configs(cuts, params):
-        slots = _build_arrangement(cuts, [(p[0], pl) for p, pl in zip(params, cfg)])
-        ra = _body_raw(slots, cuts, a.body_for(cfg))
-        rb = _body_raw(slots, cuts, b.body_for(cfg))
-        res = op(ra, rb)
-        assert all(not lcl and not hcl for _, _, lcl, hcl in res)
-        rows.append((cfg, _raw_body(slots, cuts, res)))
-    t = _mk(params, cuts, rows)
+
+    def raw_at(slots):
+        return op(_body_raw(slots, cuts, _body_at(x, slots, cuts)), _body_raw(slots, cuts, _body_at(y, slots, cuts)))
+
+    t = _mk(params, cuts, _rows(params, cuts, raw_at))
     const = t.constant_value()
     return const if const is not None else t
-
-
-def with_domain(t: Template, name: str, dom) -> Template:
-    params = tuple((n, dom if n == name else d) for n, d in t.params)
-    cuts = tuple(sorted(set(t.cuts) | set(_dom_endpoints(dom))))
-    return _rebuild(t, params, cuts)
 
 
 def eliminate_param(t: Template, name: str, mode: str):
@@ -465,8 +343,7 @@ def eliminate_param(t: Template, name: str, mode: str):
     rest = tuple(p for p in t.params if p[0] != name)
     cuts = t.cuts
     rows = []
-    for cfg_R in _enum_configs(cuts, rest):
-        base = _build_arrangement(cuts, [(p[0], pl) for p, pl in zip(rest, cfg_R)])
+    for base in _arrangements(cuts, rest):
         accepted = []
         for slots_p, region in _place_new(base, cuts, DOM_ALL, _POINT):
             results = []
@@ -492,7 +369,7 @@ def eliminate_param(t: Template, name: str, mode: str):
         else:
             if not all(not lcl and not hcl for _, _, lcl, hcl in res):
                 raise UnrepresentableJoinError("family join produced a non-open set")
-        rows.append((cfg_R, _raw_body(base, cuts, res)))
+        rows.append((_arrangement_config(base, rest), _raw_body(base, cuts, res)))
     if rest:
         t2 = _mk(rest, cuts, rows)
         const = t2.constant_value()
@@ -505,19 +382,15 @@ def eliminate_param(t: Template, name: str, mode: str):
         raise kind("family result is not a finite constant union") from exc
 
 
-def family_meet(t: Template, dom=None) -> IntervalSet:
+def family_meet(t: Template) -> IntervalSet:
     if t.arity != 1:
         raise ArityError("family_meet needs an arity-1 template")
-    if dom is not None:
-        t = with_domain(t, t.params[0][0], dom)
     return eliminate_param(t, t.params[0][0], "meet")
 
 
-def family_join(t: Template, dom=None) -> IntervalSet:
+def family_join(t: Template) -> IntervalSet:
     if t.arity != 1:
         raise ArityError("family_join needs an arity-1 template")
-    if dom is not None:
-        t = with_domain(t, t.params[0][0], dom)
     return eliminate_param(t, t.params[0][0], "join")
 
 

@@ -145,3 +145,22 @@ def test_deterministic_json(chain2_file, tmp_path):
         data["elapsed_ms"] = 0
         outs.append(json.dumps(data))
     assert outs[0] == outs[1]
+
+
+def test_parametric_label_needs_interval_algebra(chain2_file, capsys):
+    for label in ("!q", "(0,q)"):
+        fam = f"u := {{fam q in QQ : {{#0 @ {label}}} @ {{a,b}}}}"
+        assert execute(["eval", "--poset", chain2_file, "-c", fam, "#0 in u"]) == 2
+        assert "need the interval algebra" in capsys.readouterr().err
+    fam = "u := {fam q in QQ : {#0 @ !q} @ 1}"
+    assert execute(["eval", "--interval", "-c", fam, "#0 in u"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
+def test_deep_input_is_a_typed_error(chain2_file, capsys):
+    deep_hf = "{" * 1200 + "}" * 1200
+    assert execute(["antichain", "build", "--interval", "--x", deep_hf]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
+    deep_hset = "u := " + "{" * 600 + "}" + " @ {a,b}}" * 599
+    assert execute(["eval", "--poset", chain2_file, "-c", deep_hset, "#0 in u"]) == 2
+    assert "nests too deeply" in capsys.readouterr().err

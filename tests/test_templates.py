@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -202,3 +203,23 @@ def test_reduce_against_pointwise_elimination():
                 inst = template_eval(t, {"q0": q0, "q1": q1})
                 assert ALG.le(m, inst), (trial, q0, q1)
                 assert ALG.le(inst, j), (trial, q0, q1)
+
+
+def test_ops_on_mixed_parameter_lists_agree_with_instances():
+    # operands over different parameter lists (q0 over an interval domain, q1
+    # over QQ, both) and constants: each operand is read in the arrangements
+    # of the merged parameters over the merged cuts
+    rng = random.Random(23)
+    d0 = (("q0", dom_interval(F(-1), F(2))),)
+    d1 = (("q1", DOM_ALL),)
+    const = parse_interval_set("(-3,1/2)|(2,+inf)")
+    for trial in range(12):
+        pool = [template_from_body(_random_body(rng, ps), ps) for ps in (d0, d1, d0 + d1)] + [const]
+        for x, y in itertools.permutations(pool, 2):
+            for opname in ("meet", "join", "imp"):
+                out = template_op(x, y, opname)
+                for _ in range(6):
+                    q0 = F(rng.randrange(-2, 6), 3)
+                    vals = {"q0": q0, "q1": rng.choice([q0, q0 + F(1, 7), F(rng.randrange(-9, 9), 2)])}
+                    inst = [template_eval(z, vals) if isinstance(z, Template) else z for z in (x, y, out)]
+                    assert inst[2] == getattr(ALG, opname)(inst[0], inst[1]), (trial, opname, vals)
