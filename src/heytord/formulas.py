@@ -8,9 +8,10 @@ term's value.  Everything compositional, no unbounded quantification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import EngineError
-from .hset import PBound, Universe, _node_syms
+from .hset import PBound, Universe
 
 
 @dataclass(frozen=True)
@@ -137,14 +138,6 @@ def eval_term(U: Universe, t, env):
     raise EngineError(f"bad term {t!r}")
 
 
-def _env_syms(env):
-    syms = set()
-    for v in env.values():
-        if isinstance(v, PBound):
-            syms.add(v.sym)
-    return syms
-
-
 def eval_formula(U: Universe, phi, env=None):
     """Truth value of a bounded formula under a variable environment."""
     env = env or {}
@@ -174,28 +167,20 @@ def eval_formula(U: Universe, phi, env=None):
         univ = isinstance(phi, Forall)
         bound = eval_term(U, phi.bound, env)
         acc = alg.top() if univ else alg.bottom()
-        for child, lab in U._node_entries(bound):
-            sub = dict(env)
-            sub[phi.var] = child
-            inner = eval_formula(U, phi.body, sub)
-            if univ:
-                acc = U.vmeet(acc, U.vimp(lab, inner))
-            else:
-                acc = U.vjoin(acc, U.vmeet(lab, inner))
-        for fam in U._node_families(bound):
-            taken = _env_syms(env) | {s for s, _ in _node_syms(bound)}
-            sym = U._fresh_sym(taken)
-            node = PBound(fam.elem, sym, fam.domain)
-            lab = U._formal_as(fam.label, sym)
-            sub = dict(env)
-            sub[phi.var] = node
-            inner = eval_formula(U, phi.body, sub)
-            if univ:
-                acc = U.vmeet(acc, U.eliminate(U.vimp(lab, inner), sym, "meet"))
-            else:
-                acc = U.vjoin(acc, U.eliminate(U.vmeet(lab, inner), sym, "join"))
+        for child, lab in bound.entries:
+            inner = eval_formula(U, phi.body, {**env, phi.var: child})
+            acc = U.vmeet(acc, U.vimp(lab, inner)) if univ else U.vjoin(acc, U.vmeet(lab, inner))
+        for fam in bound.families:
+            taken = {s for v in (*env.values(), bound) for s in v.syms}
+            term = U.family_term(fam, "all" if univ else "ex", partial(_bind, U, phi, env), taken)
+            acc = U.vmeet(acc, term) if univ else U.vjoin(acc, term)
         return acc
     raise EngineError(f"bad formula node {phi!r}")
+
+
+def _bind(U, phi, env, z):
+    """Value of the quantifier phi's body with its variable bound to z."""
+    return eval_formula(U, phi.body, {**env, phi.var: z})
 
 
 def ordinal_formula(var: str = "x"):

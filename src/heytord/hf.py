@@ -7,9 +7,13 @@ keys) makes every iteration deterministic.
 
 from __future__ import annotations
 
+import re
+
 from .errors import LiteralParseError
 
 EMPTY = frozenset()
+_WS = re.compile(r"\s*")
+_DIGITS = re.compile(r"\d+")
 
 _key_cache: dict = {}
 _rank_cache: dict = {}
@@ -80,48 +84,43 @@ def format_hf(x: frozenset) -> str:
 
 
 def parse_hf(text: str) -> frozenset:
-    """HF literal: nested braces of `{}` and decimal von Neumann numerals."""
-    pos = 0
+    """HF literal: nested braces of `{}` and decimal von Neumann numerals.
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse():
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
+    The braces still open are kept on an explicit stack of member lists, so
+    any nesting depth parses, in time linear in the text."""
+    stack = []
+    pos, end = 0, len(text)
+    while True:  # a member is due at pos
+        pos = _WS.match(text, pos).end()
+        if pos >= end:
             raise LiteralParseError("unexpected end of HF literal")
-        ch = text[pos]
-        if ch.isdigit():
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            return numeral(int(text[start:pos]))
-        if ch != "{":
-            raise LiteralParseError(f"unexpected {ch!r} in HF literal")
-        pos += 1
-        members = []
-        skip_ws()
-        if pos < len(text) and text[pos] == "}":
+        digits = _DIGITS.match(text, pos)
+        if digits:
+            pos = digits.end()
+            value = numeral(int(digits.group()))
+        elif text[pos] != "{":
+            raise LiteralParseError(f"unexpected {text[pos]!r} in HF literal")
+        else:
+            pos = _WS.match(text, pos + 1).end()
+            if not text.startswith("}", pos):
+                stack.append([])
+                continue
             pos += 1
-            return EMPTY
-        while True:
-            members.append(parse())
-            skip_ws()
-            if pos >= len(text):
+            value = EMPTY
+        while stack:  # value ends a member of the innermost open brace
+            stack[-1].append(value)
+            pos = _WS.match(text, pos).end()
+            if pos >= end:
                 raise LiteralParseError("unterminated HF literal")
             if text[pos] == ",":
                 pos += 1
-                continue
-            if text[pos] == "}":
-                pos += 1
-                return frozenset(members)
-            raise LiteralParseError(f"unexpected {text[pos]!r} in HF literal")
-
-    out = parse()
-    skip_ws()
-    if pos != len(text):
-        raise LiteralParseError(f"trailing input in HF literal: {text[pos:]!r}")
-    return out
+                break
+            if text[pos] != "}":
+                raise LiteralParseError(f"unexpected {text[pos]!r} in HF literal")
+            pos += 1
+            value = frozenset(stack.pop())
+        else:
+            pos = _WS.match(text, pos).end()
+            if pos != end:
+                raise LiteralParseError(f"trailing input in HF literal: {text[pos:]!r}")
+            return value

@@ -43,6 +43,7 @@ class HSet:
     """Interned H-valued set node; key is its truth-memo key."""
 
     __slots__ = ("id", "entries", "families", "rank", "key")
+    syms = ()  # no live family parameter
 
     def __init__(self, id, entries, families, rank):
         self.id = id
@@ -59,6 +60,7 @@ class ParamHSet:
     """Interned one-parameter H-set shape used as a family's element template."""
 
     __slots__ = ("id", "entries", "rank")
+    families = ()
 
     def __init__(self, id, entries, rank):
         self.id = id
@@ -69,16 +71,18 @@ class ParamHSet:
         return f"<ParamHSet #{self.id}>"
 
 
-class PBound(NamedTuple):
-    """A family element template with its parameter opened as a live symbol."""
+class PBound:
+    """A family element template with its parameter opened as the live symbol
+    sym: interned per universe, its children opened and its labels renamed
+    to sym once.  It reads like an HSet node with no families."""
 
-    ph: ParamHSet
-    sym: str
-    domain: tuple
+    __slots__ = ("entries", "syms", "key")
+    families = ()
 
-    @property
-    def key(self):
-        return (self.ph.id, self.sym, self.domain)
+    def __init__(self, key, entries):
+        self.entries = entries
+        self.syms = (key[1],)
+        self.key = key  # (ph.id, sym, domain)
 
 
 def _value_op(algebra, op, x, y):
@@ -139,16 +143,6 @@ def _rename_formal(lab, sym):
     return rename_param(lab, FORMAL, sym) if isinstance(lab, Template) else lab
 
 
-def _node_key(n):
-    return n.key
-
-
-def _node_syms(n):
-    if isinstance(n, HSet):
-        return ()
-    return ((n.sym, n.domain),)
-
-
 class Universe:
     """One algebra; hash-cons tables for nodes and for truth values; one memo.
 
@@ -169,6 +163,7 @@ class Universe:
         self._memo = {}
         self._hs = {}
         self._ph = {}
+        self._pb = {}
         self._next_id = 0
         self._embed_cache = {}
         self._numeral_ids = {}
@@ -265,6 +260,18 @@ class Universe:
             self._ph[key] = node
         return node
 
+    def _open(self, ph: ParamHSet, sym: str, domain) -> PBound:
+        """ph with its parameter opened as sym over domain, interned."""
+        key = (ph.id, sym, domain)
+        node = self._pb.get(key)
+        if node is None:
+            entries = tuple(
+                (self._open(c, sym, domain) if isinstance(c, ParamHSet) else c, self._formal_as(l, sym))
+                for c, l in ph.entries
+            )
+            node = self._pb[key] = PBound(key, entries)
+        return node
+
     def embed(self, x: frozenset) -> HSet:
         """Check-set embedding of a hereditarily finite set: all labels top."""
         node = self._embed_cache.get(x)
@@ -295,19 +302,6 @@ class Universe:
 
     # --- membership and equality ----------------------------------------------
 
-    def _node_entries(self, n):
-        if isinstance(n, HSet):
-            return n.entries
-        out = []
-        for child, lab in n.ph.entries:
-            if isinstance(child, ParamHSet):
-                child = PBound(child, n.sym, n.domain)
-            out.append((child, self._formal_as(lab, n.sym)))
-        return out
-
-    def _node_families(self, n):
-        return n.families if isinstance(n, HSet) else ()
-
     def _fresh_sym(self, taken):
         i = 0
         while f"q{i}" in taken:
@@ -316,17 +310,15 @@ class Universe:
             raise DepthExceededError("more than two family parameters would be live")
         return f"q{i}"
 
-    def _fam_quant(self, fam: Family, other, mode: str):
-        """Family contribution: 'all' gives meet over imp(label, elem in other),
-        'ex' gives join over meet(label, elem = other)."""
-        taken = {s for s, _ in _node_syms(other)}
+    def family_term(self, fam: Family, mode: str, body, taken):
+        """A family's term in a bounded quantifier over its elements.  With the
+        element opened at a fresh symbol s not in taken: 'all' gives the meet
+        over s of label imp body(elem), 'ex' the join of label meet body(elem)."""
         sym = self._fresh_sym(taken)
-        node = PBound(fam.elem, sym, fam.domain)
         lab = self._formal_as(fam.label, sym)
+        inner = body(self._open(fam.elem, sym, fam.domain))
         if mode == "all":
-            inner = self.truth_mem(node, other)
             return self.eliminate(self.vimp(lab, inner), sym, "meet")
-        inner = self.truth_eq(node, other)
         return self.eliminate(self.vmeet(lab, inner), sym, "join")
 
     def truth_eq(self, a, b):
@@ -341,14 +333,15 @@ class Universe:
         bot = self._bot
         val = self._top
         for x, other in ((a, b), (b, a)):
-            for child, lab in self._node_entries(x):
+            for child, lab in x.entries:
                 if val == bot:
                     break
                 val = self.vmeet(val, self.vimp(lab, self.truth_mem(child, other)))
-            for fam in self._node_families(x):
+            for fam in x.families:
                 if val == bot:
                     break
-                val = self.vmeet(val, self._fam_quant(fam, other, "all"))
+                term = self.family_term(fam, "all", partial(self.truth_mem, v=other), other.syms)
+                val = self.vmeet(val, term)
         if self.memo_enabled:
             self._memo[key] = val
         return val
@@ -361,14 +354,14 @@ class Universe:
                 return hit
         top = self._top
         val = self._bot
-        for child, lab in self._node_entries(v):
+        for child, lab in v.entries:
             if val == top:
                 break
             val = self.vjoin(val, self.vmeet(lab, self.truth_eq(child, u)))
-        for fam in self._node_families(v):
+        for fam in v.families:
             if val == top:
                 break
-            val = self.vjoin(val, self._fam_quant(fam, u, "ex"))
+            val = self.vjoin(val, self.family_term(fam, "ex", partial(self.truth_eq, b=u), u.syms))
         if self.memo_enabled:
             self._memo[key] = val
         return val
@@ -418,24 +411,6 @@ class Universe:
                         pool.append(u)
         return pool
 
-    # --- optional canonicalization ----------------------------------------------
-
-    def extensional_merge(self, u: HSet) -> HSet:
-        """Merge entries whose elements are provably equal (value top), joining labels."""
-        entries = list(u.entries)
-        out = []
-        while entries:
-            child, lab = entries.pop(0)
-            rest = []
-            for c2, l2 in entries:
-                if self.truth_eq(child, c2) == self.algebra.top():
-                    lab = self.vjoin(lab, l2)
-                else:
-                    rest.append((c2, l2))
-            entries = rest
-            out.append((child, lab))
-        return self.make_hset(out, u.families)
-
     # --- formatting ---------------------------------------------------------------
 
     def format_hset(self, u) -> str:
@@ -443,14 +418,10 @@ class Universe:
             n = self.numeral_of(u)
             if n is not None:
                 return f"#{n}"
-            parts = [f"{self.format_hset(c)} @ {self._format_label(l)}" for c, l in u.entries]
-            for fam in u.families:
-                dom = "QQ" if fam.domain == ("all",) else self._format_dom(fam.domain)
-                parts.append(
-                    f"fam {FORMAL} in {dom} : {self.format_hset(fam.elem)} @ {self._format_label(fam.label)}"
-                )
-            return "{" + ", ".join(parts) + "}"
         parts = [f"{self.format_hset(c)} @ {self._format_label(l)}" for c, l in u.entries]
+        for fam in u.families:
+            dom = "QQ" if fam.domain == ("all",) else self._format_dom(fam.domain)
+            parts.append(f"fam {FORMAL} in {dom} : {self.format_hset(fam.elem)} @ {self._format_label(fam.label)}")
         return "{" + ", ".join(parts) + "}"
 
     def _format_dom(self, dom):

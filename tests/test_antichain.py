@@ -33,6 +33,14 @@ def test_hf_utilities():
     assert hf.kpair(hf.numeral(0), hf.numeral(0)) == hf.parse_hf("{{0}}")
 
 
+def test_parse_hf_nests_without_recursion():
+    depth = 10_000
+    x = hf.parse_hf("{" * depth + "}" * depth)
+    for _ in range(depth - 1):
+        (x,) = x
+    assert x == hf.EMPTY
+
+
 def test_tc_stages_for_two():
     x = hf.numeral(2)
     assert tc_stage(x, 0).members == ()

@@ -117,16 +117,6 @@ def test_enumerate_interval_algebra_raises():
         enumerate_hsets(Universe(IntervalAlgebra()), 1)
 
 
-def test_extensional_merge(chain2):
-    U, bot, h, top = chain2
-    one_a = U.numeral(1)
-    one_b = U.make_hset([(U.empty, top), (U.make_hset([(U.empty, bot)]), h)])
-    # one_b's second entry collapsed away, so both denote 1 with equal entries
-    merged = U.extensional_merge(U.make_hset([(one_a, h), (one_b, h)]))
-    assert len(merged.entries) == 1
-    assert merged.entries[0][1] == h
-
-
 def test_witness_equality_with_two_is_bottom(witness_universe):
     U, P = witness_universe
     assert truth_eq(U, P.A, U.numeral(2)) == U.algebra.bottom()

@@ -83,9 +83,7 @@ def test_mutation_sensitivity_corrupted_symmetric_side():
 
     class Corrupted(Universe):
         def truth_eq(self, a, b):
-            from heytord.hset import _node_key
-
-            ka, kb = _node_key(a), _node_key(b)
+            ka, kb = a.key, b.key
             if ka == kb:
                 return self.algebra.top()
             key = ("ceq", ka, kb)
@@ -93,7 +91,7 @@ def test_mutation_sensitivity_corrupted_symmetric_side():
             if hit is not None:
                 return hit
             val = self.algebra.top()
-            for child, lab in self._node_entries(a):
+            for child, lab in a.entries:
                 val = self.vmeet(val, self.vimp(lab, self.truth_mem(child, b)))
             self._memo[key] = val
             return val

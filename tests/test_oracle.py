@@ -7,28 +7,39 @@ every q >= p and every entry (e, l) of either side with q in l, q forces that
 e belongs to the other side.  A truth value is the set of forcing nodes.  The
 forcing evaluator below reads only the poset's covers and the nodes' entries:
 no Heyting implication, no memo and no value table from heytord.hset.
+
+Over the interval algebra a family entry is an infinite join (in membership)
+or meet (in a universal quantifier) over its parameter (Grayson,
+"Heyting-valued models for intuitionistic set theory", 1979).  Replacing a
+family by its instances at a finite set F of rationals, built point by point
+with template_eval, keeps only some of the joinands or meetands, which bounds
+the symbolic value from below or above for every F.
 """
 
 import functools
 import itertools
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heytord.hf as hf
 from heytord.antichain import certify, perp_lift, pow_lift
-from heytord.hset import Universe
+from heytord.formulas import Eq, Exists, Forall, Mem, Var, eval_formula
+from heytord.hset import FORMAL, ParamHSet, Universe
 from heytord.intervals import BOT, TOP, IntervalAlgebra, parse_interval_set
 from heytord.ivcore import POS_INF
 from heytord.lemmas import generate_pool
 from heytord.order import build_upset_algebra, zoo
-from heytord.ordinals import witness_pair
+from heytord.ordinals import hsucc, ord_add, pair_encode, witness_pair
+from heytord.parsing import parse_hset
 from heytord.templates import (
     DOM_ALL,
     Template,
     eliminate_param,
     point_complement_body,
     rename_param,
+    template_eval,
     template_from_body,
     template_op,
 )
@@ -134,3 +145,69 @@ def test_value_table_matches_fresh_computation():
                 for mode in ("meet", "join"):
                     fresh = eliminate_param(renamed, sym, mode) if isinstance(x, Template) else x
                     assert U.eliminate(renamed, sym, mode) == fresh
+
+
+def _at(label, r):
+    return template_eval(label, {FORMAL: r}) if isinstance(label, Template) else label
+
+
+def _instance(U, ph, r):
+    """The family element shape ph at parameter value r, entry by entry."""
+    return U.make_hset(
+        [(_instance(U, c, r) if isinstance(c, ParamHSet) else c, _at(l, r)) for c, l in ph.entries]
+    )
+
+
+def _truncate(U, u, F):
+    """u with each family replaced by its instances at the points of F in its domain."""
+    inst = [
+        (_instance(U, f.elem, r), _at(f.label, r))
+        for f in u.families
+        for r in F
+        if f.domain == DOM_ALL or f.domain[1] < r < f.domain[2]
+    ]
+    return U.make_hset(list(u.entries) + inst)
+
+
+@functools.cache
+def _family_universe():
+    U = Universe(IntervalAlgebra())
+    P = witness_pair(U)
+    num = U.numeral
+    literals = [
+        "{ #0 @ 1, fam q in (0,1) : { #0 @ !q } @ (0,1) }",
+        "{ fam q in QQ : { #0 @ (q,2), #1 @ 1 } @ !q }",
+        "{ #1 @ (0,2), fam q in (-1,2) : { #0 @ (q,3), { #0 @ !q } @ 1 } @ (0,q)|(1,3) }",
+    ]
+    family_sets = [P.A, hsucc(U, P.A), ord_add(U, hsucc(U, P.B), P.A), pair_encode(U, P, num(1), num(0))]
+    family_sets += [parse_hset(U, text) for text in literals]
+    assert all(u.families for u in family_sets)
+    partners = [num(0), num(1), num(2), P.A, parse_hset(U, "{ #0 @ !0 }"), parse_hset(U, "{ #0 @ (0,1) }")]
+    return U, family_sets, partners + family_sets[1:2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=4, unique=True))
+def test_family_terms_bound_their_finite_instances(F):
+    """[x in u_F] <= [x in u] and [A z : u . z in y] <= [A z : u_F . z in y]
+    for every finite F, and E z : u . z = x agrees with [x in u]."""
+    U, family_sets, partners = _family_universe()
+    le = U.algebra.le
+    every = Forall("z", Var("u"), Mem(Var("z"), Var("y")))
+    some = Exists("z", Var("u"), Eq(Var("z"), Var("x")))
+    for u in family_sets:
+        u_F = _truncate(U, u, F)
+        for x in partners:
+            assert le(U.truth_mem(x, u_F), U.truth_mem(x, u))
+            assert le(eval_formula(U, every, {"u": u, "y": x}), eval_formula(U, every, {"u": u_F, "y": x}))
+            assert eval_formula(U, some, {"u": u, "x": x}) == U.truth_mem(x, u)
+
+
+def test_finite_truncations_of_the_witness_are_not_incomparable_with_two():
+    """With F the multiples of 1/3 in [-3, 3], [A_F = 2] is a dense open set:
+    only the infinite family makes the witness incomparable with 2."""
+    U, family_sets, _ = _family_universe()
+    A = family_sets[0]
+    A_F = _truncate(U, A, [Fraction(k, 3) for k in range(-9, 10)])
+    assert U.truth_eq(A, U.numeral(2)) == BOT
+    assert len(U.truth_eq(A_F, U.numeral(2)).ivs) == 20
