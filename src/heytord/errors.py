@@ -25,10 +25,6 @@ class ArityError(EngineError):
     pass
 
 
-class UnrepresentableMeetError(EngineError):
-    pass
-
-
 class UnrepresentableJoinError(EngineError):
     pass
 

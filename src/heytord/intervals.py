@@ -29,9 +29,6 @@ class IntervalSet:
     def is_top(self):
         return self.ivs == ((NEG_INF, POS_INF),)
 
-    def raw(self):
-        return [(lo, hi, False, False) for lo, hi in self.ivs]
-
     def __repr__(self):
         return f"IntervalSet({format_interval_set(self)!r})"
 
@@ -40,15 +37,31 @@ BOT = IntervalSet(())
 TOP = IntervalSet(((NEG_INF, POS_INF),))
 
 
-def _from_raw(raw):
-    pieces = ivcore.normalize(raw)
-    assert all(not lcl and not hcl for _, _, lcl, hcl in pieces), "expected an open set"
-    return IntervalSet(tuple((lo, hi) for lo, hi, _, _ in pieces))
+def _masks(*pair_lists):
+    """ivcore masks of (lo, hi) pair lists over their merged finite endpoints,
+    and those points in increasing order."""
+    points = sorted({v for pairs in pair_lists for pair in pairs for v in pair if not is_inf(v)})
+    pos = {v: i for i, v in enumerate(points)}
+    pos[NEG_INF], pos[POS_INF] = -1, len(points)
+    masks = []
+    for pairs in pair_lists:
+        m = 0
+        for lo, hi in pairs:
+            m |= ivcore.span(pos[lo], pos[hi])
+        masks.append(m)
+    return masks, points
+
+
+def _to_set(m, points):
+    """The canonical IntervalSet of an open mask over points: one interval per run."""
+    ends = (NEG_INF, *points, POS_INF)
+    return IntervalSet(tuple((ends[lo + 1], ends[hi + 1]) for lo, hi in ivcore.normalize(m)))
 
 
 def iv_canon(pairs):
     """Canonicalize raw (lo, hi) open intervals; pairs with lo >= hi drop silently."""
-    return _from_raw([(lo, hi, False, False) for lo, hi in pairs])
+    (m,), points = _masks(pairs)
+    return _to_set(m, points)
 
 
 def iv_meet(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -56,7 +69,8 @@ def iv_meet(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         return a
     if b.is_bottom() or a.is_top():
         return b
-    return _from_raw(ivcore.intersect(a.raw(), b.raw()))
+    (ma, mb), points = _masks(a.ivs, b.ivs)
+    return _to_set(ivcore.intersect(ma, mb), points)
 
 
 def iv_join(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -64,7 +78,8 @@ def iv_join(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         return b
     if b.is_bottom() or a.is_top():
         return a
-    return _from_raw(ivcore.union(a.raw(), b.raw()))
+    (ma, mb), points = _masks(a.ivs, b.ivs)
+    return _to_set(ivcore.union(ma, mb), points)
 
 
 def iv_lattice(a: IntervalSet, b: IntervalSet):
@@ -78,8 +93,9 @@ def iv_imp(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         return TOP
     if a.is_top():
         return b
-    out = _from_raw(ivcore.interior(ivcore.union(ivcore.complement(a.raw()), b.raw())))
-    return out
+    (ma, mb), points = _masks(a.ivs, b.ivs)
+    n = len(points)
+    return _to_set(ivcore.interior(ivcore.union(ivcore.complement(ma, n), mb), n), points)
 
 
 def point_complement(q: Fraction) -> IntervalSet:
@@ -117,7 +133,8 @@ class IntervalAlgebra:
     def le(self, a, b):
         if a.is_bottom() or b.is_top():
             return True
-        return ivcore.subset(a.raw(), b.raw())
+        (ma, mb), _ = _masks(a.ivs, b.ivs)
+        return ivcore.subset(ma, mb)
 
     def is_element(self, a):
         return isinstance(a, IntervalSet)
@@ -185,20 +202,20 @@ def format_interval_set(a: IntervalSet) -> str:
     return "|".join(f"({format_rational(lo)},{format_rational(hi)})" for lo, hi in a.ivs)
 
 
-def parse_interval_set(text: str) -> IntervalSet:
-    """Element literal: `0`, `1`, unions of `(l,r)` by `|`, `!r` point complements."""
+def parse_interval_set(text: str, param=None):
+    """Element literal: `0`, `1`, unions of `(l,r)` by `|`, `!r` point complements.
+
+    Given the name of a family parameter, that name may also stand as `r`,
+    `l` or `r`, and the result is the literal's list of (lo, hi) pairs, with
+    the name for the parameter's value: the body of a one-parameter family."""
     text = text.strip()
-    if text == "0":
-        return BOT
-    if text == "1":
-        return TOP
-    pairs = []
-    for part in text.split("|"):
+    pairs = [(NEG_INF, POS_INF)] if text == "1" else []
+    for part in () if text in ("0", "1") else text.split("|"):
         part = part.strip()
         if not part:
             raise LiteralParseError("empty union component in interval literal")
         if part.startswith("!"):
-            q = parse_rational(part[1:])
+            q = _endpoint(part[1:], param)
             if is_inf(q):
                 raise LiteralParseError("point complement needs a rational point")
             pairs.extend([(NEG_INF, q), (q, POS_INF)])
@@ -208,9 +225,14 @@ def parse_interval_set(text: str) -> IntervalSet:
         body = part[1:-1]
         if body.count(",") != 1:
             raise LiteralParseError(f"bad interval {part!r}")
-        lo_s, hi_s = body.split(",")
-        lo, hi = parse_rational(lo_s), parse_rational(hi_s)
-        if not lo < hi:
+        lo, hi = (_endpoint(s, param) for s in body.split(","))
+        # with the parameter at one end, emptiness depends on the parameter's value
+        if lo == hi or lo is POS_INF or hi is NEG_INF or (param not in (lo, hi) and not lo < hi):
             raise LiteralParseError(f"interval {part!r} needs lo < hi")
         pairs.append((lo, hi))
-    return iv_canon(pairs)
+    return iv_canon(pairs) if param is None else pairs
+
+
+def _endpoint(text, param):
+    text = text.strip()
+    return text if text == param else parse_rational(text)

@@ -1,14 +1,20 @@
-"""Sweep-line machinery for finite unions of intervals over a dense order.
+"""Open sets of a dense endless order with endpoints in n given points, as int
+masks.
 
-Endpoints may be Fractions, ints (slot indices of a symbolic alphabet) or the
-two infinity sentinels.  The carrier is assumed dense and endless: between any
-two distinct endpoint values there are carrier points, and every non-infinite
-endpoint value is itself a carrier point.  Both hold for the rationals and for
-slot indices denoting rationals in a fixed order configuration.
+The n points, in increasing order, cut the order into n + 1 open gaps.  Bit
+2i is the gap below point i and bit 2i + 1 is point i itself; bit 2n is the
+gap above the last point.  A mask is any set of these pieces, so union,
+intersection and complement are `|`, `&` and `~`.  Positions -1 and n stand
+for the two infinities, so the open interval between positions lo < hi is
+the run of bits 2lo + 2 .. 2hi.
 
-An interval is a 4-tuple (lo, hi, lo_closed, hi_closed); a raw set is a list
-of intervals, not necessarily disjoint.  Degenerate points are (v, v, True,
-True).  Closed flags at an infinite endpoint are meaningless and get cleared.
+A set is open when every point in it has both neighbouring gaps in it: every
+open neighbourhood of a point meets both gaps beside it, a mask holds a gap
+whole or not at all, and every gap is open.  So the opens are the up-sets of
+the zigzag order in which each point lies below its two gaps, and they form
+the finite Heyting algebra of those up-sets (Esakia duality).  Its meet and
+join are `&` and `|`; the interior of a mask drops every point missing a
+neighbouring gap, and imp(a, b) is the interior of ~a | b.
 """
 
 from __future__ import annotations
@@ -54,116 +60,42 @@ def is_inf(v):
     return isinstance(v, _Inf)
 
 
-def _clip(iv):
-    lo, hi, lcl, hcl = iv
-    if is_inf(lo):
-        lcl = False
-    if is_inf(hi):
-        hcl = False
-    return (lo, hi, lcl, hcl)
+def span(lo, hi):
+    """Mask of the open interval between positions lo and hi; empty unless lo < hi."""
+    return (1 << 2 * hi + 1) - (1 << 2 * lo + 2) if lo < hi else 0
 
 
-def nonempty(iv):
-    lo, hi, lcl, hcl = iv
-    if lo < hi:
-        return True
-    if lo == hi:
-        return lcl and hcl and not is_inf(lo)
-    return False
-
-
-def _ep_key(v):
-    if isinstance(v, _Inf):
-        return (v.sign, 0)
-    return (0, v)
-
-
-def _sort_key(iv):
-    # closed starts sort first so the sweep always extends from the widest.
-    return (_ep_key(iv[0]), not iv[2], _ep_key(iv[1]))
-
-
-def normalize(raw):
-    """Sorted maximal pairwise-separated intervals covering the same points."""
-    ivs = sorted((_clip(iv) for iv in raw if nonempty(_clip(iv))), key=_sort_key)
+def normalize(m):
+    """The maximal runs of an open mask, in order, as (lo, hi) positions."""
     out = []
-    for lo, hi, lcl, hcl in ivs:
-        if out:
-            plo, phi, plcl, phcl = out[-1]
-            # merge on overlap, or on touching endpoints one of which is covered
-            if lo < phi or (lo == phi and (phcl or lcl)):
-                if hi > phi or (hi == phi and hcl):
-                    out[-1] = (plo, hi, plcl, hcl if hi > phi else (hcl or phcl))
-                continue
-        out.append((lo, hi, lcl, hcl))
+    while m:
+        low = m & -m
+        carry = m + low  # clears the lowest run and sets the bit just above it
+        out.append(((low.bit_length() >> 1) - 1, ((carry & -carry).bit_length() - 2) >> 1))
+        m &= carry
     return out
 
 
 def union(a, b):
-    return normalize(list(a) + list(b))
+    return a | b
 
 
 def intersect(a, b):
-    out = []
-    for la, ha, lca, hca in a:
-        for lb, hb, lcb, hcb in b:
-            if la > lb:
-                lo, lcl = la, lca
-            elif lb > la:
-                lo, lcl = lb, lcb
-            else:
-                lo, lcl = la, lca and lcb
-            if ha < hb:
-                hi, hcl = ha, hca
-            elif hb < ha:
-                hi, hcl = hb, hcb
-            else:
-                hi, hcl = ha, hca and hcb
-            iv = (lo, hi, lcl, hcl)
-            if nonempty(iv):
-                out.append(iv)
-    return normalize(out)
+    return a & b
 
 
-def complement(a):
-    a = normalize(a)
-    if not a:
-        return [(NEG_INF, POS_INF, False, False)]
-    out = []
-    first_lo, _, first_lcl, _ = a[0]
-    lead = (NEG_INF, first_lo, False, not first_lcl)
-    if nonempty(lead):
-        out.append(lead)
-    for (_, hi, _, hcl), (lo2, _, lcl2, _) in zip(a, a[1:]):
-        gap = (hi, lo2, not hcl, not lcl2)
-        if nonempty(gap):
-            out.append(gap)
-    _, last_hi, _, last_hcl = a[-1]
-    trail = (last_hi, POS_INF, not last_hcl, False)
-    if nonempty(trail):
-        out.append(trail)
-    return out
+def complement(a, n):
+    return ~a & (1 << 2 * n + 1) - 1
 
 
-def interior(a):
-    """Open kernel: normalized pieces lose their endpoints, points vanish."""
-    out = []
-    for lo, hi, _, _ in normalize(a):
-        if lo < hi:
-            out.append((lo, hi, False, False))
-    return out
-
-
-def is_empty(a):
-    return not any(nonempty(iv) for iv in a)
+def interior(a, n):
+    """Largest open mask below a; the gap bits of n points are (4**(n+1) - 1) // 3."""
+    return a & ((4 ** (n + 1) - 1) // 3 | a << 1 & a >> 1)
 
 
 def subset(a, b):
-    return is_empty(intersect(a, complement(b)))
+    return not a & ~b
 
 
-def point_in(v, a):
-    for lo, hi, lcl, hcl in a:
-        if (lo < v < hi) or (v == lo and lcl) or (v == hi and hcl):
-            return True
-    return False
+def point_in(bit, a):
+    return bool(a >> bit & 1)

@@ -5,10 +5,10 @@ algebra (up-set braces over poset names, or the interval grammar)."""
 from __future__ import annotations
 
 from . import formulas as F
-from .errors import LiteralParseError
+from .errors import DepthExceededError, LiteralParseError
 from .hset import FORMAL, Family, HSet, Universe
-from .intervals import IntervalAlgebra, parse_rational
-from .ivcore import NEG_INF, POS_INF, is_inf
+from .intervals import IntervalAlgebra, iv_canon, parse_interval_set, parse_rational
+from .ivcore import is_inf
 from .templates import DOM_ALL, Template, dom_interval, template_from_body
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -180,16 +180,26 @@ class HSetParser:
         return Family(dom, elem, label)
 
     def _label(self, text, param):
-        if param is not None:
-            pname, dom = param
-            if f"!{pname}" in text or _uses_param(text, pname):
-                if not isinstance(self.U.algebra, IntervalAlgebra):
-                    raise LiteralParseError(
-                        f"label {text!r} uses the family parameter {pname}; "
-                        "parametric labels need the interval algebra"
-                    )
-                return _parse_label_template(text, pname, dom)
-        return self.U.algebra.parse_element(text)
+        if param is None:
+            return self.U.algebra.parse_element(text)
+        pname, dom = param
+        if not isinstance(self.U.algebra, IntervalAlgebra):
+            if _uses_param(text, pname):
+                raise LiteralParseError(
+                    f"label {text!r} uses the family parameter {pname}; "
+                    "parametric labels need the interval algebra"
+                )
+            return self.U.algebra.parse_element(text)
+        pairs = parse_interval_set(text, pname)
+        if not any(pname in pair for pair in pairs):
+            return iv_canon(pairs)
+
+        def ep(v):
+            if v == pname:
+                return ("s", FORMAL)
+            return v if is_inf(v) else ("v", v)
+
+        return template_from_body(tuple((ep(lo), ep(hi)) for lo, hi in pairs), ((FORMAL, dom),))
 
 
 def _uses_param(text, pname):
@@ -200,42 +210,6 @@ def _uses_param(text, pname):
             return True
         cur.pos += max(1, len(ident or ""))
     return False
-
-
-def _parse_label_template(text, pname, dom) -> Template:
-    """Interval grammar extended with the family parameter in `!q` position and
-    as an interval endpoint."""
-    body = []
-    for part in text.split("|"):
-        part = part.strip()
-        if not part:
-            raise LiteralParseError("empty union component in label template")
-        if part == "0":
-            continue
-        if part == "1":
-            body.append((NEG_INF, POS_INF))
-            continue
-        if part.startswith("!"):
-            point = part[1:].strip()
-            if point == pname:
-                body.extend([(NEG_INF, ("s", FORMAL)), (("s", FORMAL), POS_INF)])
-            else:
-                q = parse_rational(point)
-                body.extend([(NEG_INF, ("v", q)), (("v", q), POS_INF)])
-            continue
-        if not (part.startswith("(") and part.endswith(")")):
-            raise LiteralParseError(f"bad interval {part!r} in label template")
-        lo_s, hi_s = part[1:-1].split(",")
-
-        def ep(s):
-            s = s.strip()
-            if s == pname:
-                return ("s", FORMAL)
-            v = parse_rational(s)
-            return v if is_inf(v) else ("v", v)
-
-        body.append((ep(lo_s), ep(hi_s)))
-    return template_from_body(tuple(body), ((FORMAL, dom),))
 
 
 class FormulaParser:
@@ -357,12 +331,18 @@ class FormulaParser:
 
 
 def parse_formula(U: Universe, text: str):
-    return FormulaParser(U, text).parse()
+    try:
+        return FormulaParser(U, text).parse()
+    except RecursionError as exc:
+        raise DepthExceededError("formula nests too deeply for the recursive parser") from exc
 
 
 def parse_hset(U: Universe, text: str) -> HSet:
     cur = _Cursor(text)
-    node = HSetParser(U, cur).parse()
+    try:
+        node = HSetParser(U, cur).parse()
+    except RecursionError as exc:
+        raise DepthExceededError("H-set literal nests too deeply for the recursive parser") from exc
     if not cur.eof():
         raise LiteralParseError(f"trailing input in H-set literal: {cur.text[cur.pos:]!r}")
     return node

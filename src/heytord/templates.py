@@ -5,16 +5,17 @@ subsets of the rationals.  What gets enumerated is the *arrangement*: a slot
 list that orders a fixed skeleton of rational cut points together with the
 live parameter symbols, each symbol at a cut or at a fresh value inside a
 gap, where it is tied with or ordered against the other symbols.  Within one
-arrangement every endpoint comparison is decided, so lattice operations and
-the infinite meets/joins reduce to the ordinary sweep over a finite linear
-order of endpoint slots.  Rows are stored by the *order configuration* read
-off each arrangement; a template's body in a finer arrangement (more cuts,
-more symbols) is the row of the arrangement it projects to.
+arrangement every endpoint comparison is decided, so a body is an ivcore mask
+over the arrangement's slots, and lattice operations and the infinite
+meets/joins are mask operations.  Rows are stored by the *order
+configuration* read off each arrangement; a template's body in a finer
+arrangement (more cuts, more symbols) is the row of the arrangement it
+projects to.
 
 Infinite meets take the interior of the symbolic intersection; infinite joins
 are unions of opens and need no interior step.  Both are computed exactly by
 case analysis on where a generic carrier point sits relative to the skeleton
-and the surviving parameters.
+and the surviving parameters: each placement of the point is one bit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import ivcore
-from .errors import ArityError, UnrepresentableJoinError, UnrepresentableMeetError
+from .errors import ArityError, UnrepresentableJoinError
 from .intervals import IntervalSet, iv_canon
 from .ivcore import NEG_INF, POS_INF, is_inf
 
@@ -71,12 +72,6 @@ def _cfg_key(cfg):
 # --- arrangements: explicit linear orders of cuts and live symbols ----------
 
 
-def _slot_rep(slot, cuts):
-    if slot[0] == "c":
-        return ("v", cuts[slot[1]])
-    return ("s", min(slot[2]))
-
-
 def _ep_pos(slots, cuts, ep):
     if ep is NEG_INF:
         return -1
@@ -98,35 +93,33 @@ def _pos_ep(slots, cuts, pos):
         return NEG_INF
     if pos >= len(slots):
         return POS_INF
-    return _slot_rep(slots[pos], cuts)
+    kind, i, syms = slots[pos]
+    return ("v", cuts[i]) if kind == "c" else ("s", min(syms))
 
 
-def _body_raw(slots, cuts, body):
-    return [(_ep_pos(slots, cuts, lo), _ep_pos(slots, cuts, hi), False, False) for lo, hi in body]
+def _body_mask(slots, cuts, body):
+    m = 0
+    for lo, hi in body:
+        m |= ivcore.span(_ep_pos(slots, cuts, lo), _ep_pos(slots, cuts, hi))
+    return m
 
 
-def _raw_body(slots, cuts, raw):
-    return tuple((_pos_ep(slots, cuts, lo), _pos_ep(slots, cuts, hi)) for lo, hi, _, _ in raw)
+def _mask_body(slots, cuts, m):
+    return tuple((_pos_ep(slots, cuts, lo), _pos_ep(slots, cuts, hi)) for lo, hi in ivcore.normalize(m))
 
 
 def _place_new(slots, cuts, dom, name):
-    """All placements of a fresh symbol: (new_slots, region) pairs.
-
-    region is ('pt', endpoint) for ties and ('open', lo_ep, hi_ep) for gap
-    insertions, expressed over the ORIGINAL slots."""
+    """All placements of a fresh symbol: (new_slots, bit) pairs, bit being
+    where the symbol sits in the mask layout of the ORIGINAL slots: a tie with
+    slot i is point bit 2i + 1, an insertion before slot i gap bit 2i."""
     out = []
     for idx, slot in enumerate(slots):
-        if slot[0] == "c":
-            c = cuts[slot[1]]
-            if _dom_has_value(dom, c):
-                ns = list(slots)
-                ns[idx] = ("c", slot[1], slot[2] | {name})
-                out.append((ns, ("pt", ("v", c))))
-        else:
-            if _gap_in_domain(cuts, slot[1], dom):
-                ns = list(slots)
-                ns[idx] = ("x", slot[1], slot[2] | {name})
-                out.append((ns, ("pt", _slot_rep(slot, cuts))))
+        kind, i, syms = slot
+        fits = _dom_has_value(dom, cuts[i]) if kind == "c" else _gap_in_domain(cuts, i, dom)
+        if fits:
+            ns = list(slots)
+            ns[idx] = (kind, i, syms | {name})
+            out.append((ns, 2 * idx + 1))
     # insertion points inside each admissible gap
     for g in range(len(cuts) + 1):
         if not _gap_in_domain(cuts, g, dom):
@@ -142,10 +135,7 @@ def _place_new(slots, cuts, dom, name):
                 break
         assert all(slots[j][0] == "x" and slots[j][1] == g for j in range(start, end))
         for pos in range(start, end + 1):
-            ns = slots[:pos] + [("x", g, frozenset({name}))] + slots[pos:]
-            lo = _pos_ep(slots, cuts, pos - 1)
-            hi = _pos_ep(slots, cuts, pos)
-            out.append((ns, ("open", lo, hi)))
+            out.append((slots[:pos] + [("x", g, frozenset({name}))] + slots[pos:], 2 * pos))
     return out
 
 
@@ -242,14 +232,12 @@ def _collect_cuts(params, bodies_constants=()):
     return tuple(sorted(vals))
 
 
-def _rows(params, cuts, raw_at):
-    """(config, body) rows, one per arrangement; raw_at gives its raw body."""
-    rows = []
-    for slots in _arrangements(cuts, params):
-        raw = raw_at(slots)
-        assert all(not lcl and not hcl for _, _, lcl, hcl in raw)
-        rows.append((_arrangement_config(slots, params), _raw_body(slots, cuts, raw)))
-    return rows
+def _rows(params, cuts, mask_at):
+    """(config, body) rows, one per arrangement; mask_at gives its open mask."""
+    return [
+        (_arrangement_config(slots, params), _mask_body(slots, cuts, mask_at(slots)))
+        for slots in _arrangements(cuts, params)
+    ]
 
 
 def template_from_body(body, params):
@@ -257,7 +245,7 @@ def template_from_body(body, params):
     ('s', name) or infinities); emptiness and merging are settled per config."""
     consts = [ep[1] for pair in body for ep in pair if isinstance(ep, tuple) and ep[0] == "v"]
     cuts = _collect_cuts(params, consts)
-    return _mk(params, cuts, _rows(params, cuts, lambda slots: ivcore.normalize(_body_raw(slots, cuts, body))))
+    return _mk(params, cuts, _rows(params, cuts, lambda slots: _body_mask(slots, cuts, body)))
 
 
 def _const_body(x: IntervalSet):
@@ -309,10 +297,10 @@ def merge_param_lists(*plists):
     return tuple(sorted(doms.items()))
 
 
-_RAW_OPS = {
-    "meet": lambda a, b: ivcore.intersect(a, b),
-    "join": lambda a, b: ivcore.union(a, b),
-    "imp": lambda a, b: ivcore.interior(ivcore.union(ivcore.complement(a), b)),
+_MASK_OPS = {
+    "meet": lambda a, b, n: ivcore.intersect(a, b),
+    "join": lambda a, b, n: ivcore.union(a, b),
+    "imp": lambda a, b, n: ivcore.interior(ivcore.union(ivcore.complement(a, n), b), n),
 }
 
 
@@ -323,12 +311,13 @@ def template_op(x, y, opname):
     params = merge_param_lists(*(z.params for z in (x, y) if isinstance(z, Template)))
     consts = [v for z in (x, y) for v in (z.cuts if isinstance(z, Template) else chain(*z.ivs)) if not is_inf(v)]
     cuts = _collect_cuts(params, consts)
-    op = _RAW_OPS[opname]
+    op = _MASK_OPS[opname]
 
-    def raw_at(slots):
-        return op(_body_raw(slots, cuts, _body_at(x, slots, cuts)), _body_raw(slots, cuts, _body_at(y, slots, cuts)))
+    def mask_at(slots):
+        a, b = (_body_mask(slots, cuts, _body_at(z, slots, cuts)) for z in (x, y))
+        return op(a, b, len(slots))
 
-    t = _mk(params, cuts, _rows(params, cuts, raw_at))
+    t = _mk(params, cuts, _rows(params, cuts, mask_at))
     const = t.constant_value()
     return const if const is not None else t
 
@@ -343,43 +332,27 @@ def eliminate_param(t: Template, name: str, mode: str):
     rest = tuple(p for p in t.params if p[0] != name)
     cuts = t.cuts
     rows = []
+    quantify = all if mode == "meet" else any
     for base in _arrangements(cuts, rest):
-        accepted = []
-        for slots_p, region in _place_new(base, cuts, DOM_ALL, _POINT):
+        m = 0
+        for slots_p, bit in _place_new(base, cuts, DOM_ALL, _POINT):
             results = []
             for slots_k, _ in _place_new(slots_p, cuts, bind_dom, name):
-                cfg_T = _arrangement_config(slots_k, t.params)
-                raw = _body_raw(slots_k, cuts, t.body_for(cfg_T))
-                ppos = _ep_pos(slots_k, cuts, ("s", _POINT))
-                results.append(ivcore.point_in(ppos, raw))
+                body = _body_mask(slots_k, cuts, t.body_for(_arrangement_config(slots_k, t.params)))
+                results.append(ivcore.point_in(2 * _ep_pos(slots_k, cuts, ("s", _POINT)) + 1, body))
             assert results, "parameter domain admits no placement"
-            ok = all(results) if mode == "meet" else any(results)
-            if ok:
-                accepted.append(region)
-        raw_regions = []
-        for region in accepted:
-            if region[0] == "pt":
-                pos = _ep_pos(base, cuts, region[1])
-                raw_regions.append((pos, pos, True, True))
-            else:
-                raw_regions.append((_ep_pos(base, cuts, region[1]), _ep_pos(base, cuts, region[2]), False, False))
-        res = ivcore.normalize(raw_regions)
+            if quantify(results):
+                m |= 1 << bit
         if mode == "meet":
-            res = ivcore.interior(res)
-        else:
-            if not all(not lcl and not hcl for _, _, lcl, hcl in res):
-                raise UnrepresentableJoinError("family join produced a non-open set")
-        rows.append((_arrangement_config(base, rest), _raw_body(base, cuts, res)))
+            m = ivcore.interior(m, len(base))
+        elif ivcore.interior(m, len(base)) != m:
+            raise UnrepresentableJoinError("family join produced a non-open set")
+        rows.append((_arrangement_config(base, rest), _mask_body(base, cuts, m)))
     if rest:
         t2 = _mk(rest, cuts, rows)
         const = t2.constant_value()
         return const if const is not None else t2
-    body = rows[0][1]
-    try:
-        return iv_canon([(ep_val(lo), ep_val(hi)) for lo, hi in body])
-    except ValueError as exc:  # pragma: no cover - unreachable for grammar templates
-        kind = UnrepresentableMeetError if mode == "meet" else UnrepresentableJoinError
-        raise kind("family result is not a finite constant union") from exc
+    return iv_canon([(ep_val(lo), ep_val(hi)) for lo, hi in rows[0][1]])
 
 
 def family_meet(t: Template) -> IntervalSet:
@@ -420,9 +393,7 @@ def template_eval(t: Template, values: dict) -> IntervalSet:
         if v in t.cuts:
             pl = ("pt", t.cuts.index(v))
         else:
-            import bisect
-
-            g = bisect.bisect_left(list(t.cuts), v)
+            g = bisect.bisect_left(t.cuts, v)
             rel = None
             if j == 1:
                 pl0 = placed[0]

@@ -155,6 +155,10 @@ def test_parametric_label_needs_interval_algebra(chain2_file, capsys):
     fam = "u := {fam q in QQ : {#0 @ !q} @ 1}"
     assert execute(["eval", "--interval", "-c", fam, "#0 in u"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+    for label in ("(1,q,2)", "(q,1)|!+inf", "(q,1)|(3,2)"):
+        fam = f"u := {{fam q in QQ : {{#0 @ {label}}} @ 1}}"
+        assert execute(["eval", "--interval", "-c", fam, "#0 in u"]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_deep_input_is_a_typed_error(chain2_file, capsys):

@@ -129,6 +129,21 @@ def test_formula_parse_errors(U):
             parse_formula(U, bad)
 
 
+def test_deep_input_parses_or_is_a_typed_error(U):
+    from heytord.errors import DepthExceededError
+
+    n = 10_000
+    for parse, text in (
+        (parse_hset, "{" * n + "}" + " @ {a,b}}" * (n - 1)),
+        (parse_formula, "(" * n + "tt" + ")" * n),
+        (parse_formula, "~" * n + "tt"),
+    ):
+        try:
+            parse(U, text)
+        except DepthExceededError:
+            pass
+
+
 def test_quantifier_depth_limit(witness_universe):
     from heytord.errors import DepthExceededError
 

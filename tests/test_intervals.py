@@ -101,10 +101,14 @@ def test_literal_roundtrip():
     assert parse_interval_set("(-inf,+inf)") == TOP
 
 
-@pytest.mark.parametrize("bad", ["(1,0)", "(a,b)", "(1,2", "", "(1,2)|", "!+inf"])
+@pytest.mark.parametrize(
+    "bad", ["(1,0)", "(a,b)", "(1,2", "", "(1,2)|", "!+inf", "(1,q,2)", "(q,1)|!+inf", "(q,1)|(3,2)", "(q,q)"]
+)
 def test_literal_errors(bad):
-    with pytest.raises(LiteralParseError):
-        parse_interval_set(bad)
+    # the same grammar reads family labels, where q names the parameter
+    for param in (None, "q"):
+        with pytest.raises(LiteralParseError):
+            parse_interval_set(bad, param)
 
 
 def test_infinity_sentinels_order():

@@ -8,6 +8,13 @@ e belongs to the other side.  A truth value is the set of forcing nodes.  The
 forcing evaluator below reads only the poset's covers and the nodes' entries:
 no Heyting implication, no memo and no value table from heytord.hset.
 
+The open sets of the rationals with endpoints in a finite cut set S form a
+finite Heyting subalgebra of the interval algebra: the up-sets of the zigzag
+poset on S's cuts and gaps, in which each cut lies below its two neighbouring
+gaps (Esakia duality).  Reading each label at every cut and at one rational
+per gap turns a family-free interval-valued set into a Kripke model on that
+poset, so the same forcing evaluator checks the interval path too.
+
 Over the interval algebra a family entry is an infinite join (in membership)
 or meet (in a universal quantifier) over its parameter (Grayson,
 "Heyting-valued models for intuitionistic set theory", 1979).  Replacing a
@@ -19,6 +26,7 @@ the symbolic value from below or above for every F.
 import functools
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +35,7 @@ import heytord.hf as hf
 from heytord.antichain import certify, perp_lift, pow_lift
 from heytord.formulas import Eq, Exists, Forall, Mem, Var, eval_formula
 from heytord.hset import FORMAL, ParamHSet, Universe
-from heytord.intervals import BOT, TOP, IntervalAlgebra, parse_interval_set
+from heytord.intervals import BOT, TOP, IntervalAlgebra, contains_rational, parse_interval_set
 from heytord.ivcore import POS_INF
 from heytord.lemmas import generate_pool
 from heytord.order import build_upset_algebra, zoo
@@ -76,10 +84,9 @@ def _forces_eq(above, p, u, v):
     )
 
 
-def forcing_value(poset, forces, u, v):
-    above = _above(poset)
+def forcing_value(above, forces, u, v):
     assert not (u.families or v.families)
-    return sum(1 << p for p in range(len(poset.elements)) if forces(above, p, u, v))
+    return sum(1 << p for p in range(len(above)) if forces(above, p, u, v))
 
 
 @functools.cache
@@ -94,8 +101,78 @@ def test_forcing_oracle_agrees_on_zoo_pools(name, data):
     U, pool = _zoo_universe(name)
     u = data.draw(st.sampled_from(pool))
     v = data.draw(st.sampled_from(pool))
-    assert U.truth_mem(u, v) == forcing_value(ZOO[name], _forces_mem, u, v)
-    assert U.truth_eq(u, v) == forcing_value(ZOO[name], _forces_eq, u, v)
+    above = _above(ZOO[name])
+    assert U.truth_mem(u, v) == forcing_value(above, _forces_mem, u, v)
+    assert U.truth_eq(u, v) == forcing_value(above, _forces_eq, u, v)
+
+
+def _zigzag_above(n):
+    """above[j] in the zigzag poset on n cuts: node 2i is the gap below cut i,
+    node 2i + 1 is cut i, and node 2n the gap above the last cut."""
+    return [[j] if j % 2 == 0 else [j - 1, j, j + 1] for j in range(2 * n + 1)]
+
+
+def _zigzag_samples(cuts):
+    """One rational per zigzag node: a point inside each gap, and each cut."""
+    if not cuts:
+        return [Fraction(0)]
+    lows = [cuts[0] - 1, *cuts]
+    return [x for low, c in zip(lows, cuts) for x in ((low + c) / 2, c)] + [cuts[-1] + 1]
+
+
+def _labels(u):
+    for c, l in u.entries:
+        yield l
+        yield from _labels(c)
+
+
+def _kripke_node(u, upset, seen):
+    if u.id not in seen:
+        entries = [(_kripke_node(c, upset, seen), upset(l)) for c, l in u.entries]
+        seen[u.id] = SimpleNamespace(entries=entries, families=())
+    return seen[u.id]
+
+
+_ENDS = ["-inf", "-1", "0", "1/2", "1", "+inf"]
+_iv_label = st.one_of(
+    st.sampled_from(["0", "1", "!0", "!1/2"]),
+    st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True).map(sorted), min_size=1, max_size=3).map(
+        lambda pairs: "|".join(f"({_ENDS[a]},{_ENDS[b]})" for a, b in pairs)
+    ),
+)
+_iv_hset = st.recursive(
+    st.sampled_from(["#0", "#1"]),
+    lambda kids: st.lists(st.tuples(kids, _iv_label), max_size=3).map(
+        lambda entries: "{" + ", ".join(f"{c} @ {l}" for c, l in entries) + "}"
+    ),
+    max_leaves=6,
+)
+
+
+@functools.cache
+def _interval_universe():
+    return Universe(IntervalAlgebra())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_iv_hset, _iv_hset)
+def test_zigzag_forcing_oracle_agrees_on_interval_literals(a, b):
+    U = _interval_universe()
+    u, v = parse_hset(U, a), parse_hset(U, b)
+    cuts = sorted({e for x in (u, v) for l in _labels(x) for pair in l.ivs for e in pair if isinstance(e, Fraction)})
+    samples = _zigzag_samples(cuts)
+
+    def upset(l):
+        return sum(1 << j for j, r in enumerate(samples) if contains_rational(l, r))
+
+    seen = {}
+    ku, kv = _kripke_node(u, upset, seen), _kripke_node(v, upset, seen)
+    above = _zigzag_above(len(cuts))
+    for truth, forces in ((U.truth_mem, _forces_mem), (U.truth_eq, _forces_eq)):
+        value = truth(u, v)
+        # the value lies in the subalgebra, where upset is one-to-one
+        assert {e for pair in value.ivs for e in pair if isinstance(e, Fraction)} <= set(cuts)
+        assert upset(value) == forcing_value(above, forces, ku, kv), (a, b)
 
 
 def test_memo_off_interval_witness_and_theta_values():

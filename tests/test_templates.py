@@ -6,7 +6,7 @@ import pytest
 
 from heytord.errors import ArityError
 from heytord.intervals import BOT, TOP, IntervalAlgebra, iv_canon, parse_interval_set, point_complement
-from heytord.ivcore import POS_INF
+from heytord.ivcore import NEG_INF, POS_INF, is_inf
 from heytord.templates import (
     DOM_ALL,
     Template,
@@ -140,6 +140,39 @@ def test_pointwise_residuation_on_templates():
         assert cv == ALG.imp(av, bv)
 
 
+def test_imp_into_bottom_is_the_canonical_ray():
+    left_ray = template_from_body(((NEG_INF, ("s", "q0")),), P1)
+    assert template_op(left_ray, BOT, "imp") == template_from_body(((("s", "q0"), POS_INF),), P1)
+
+
+def _row_values(t, cfg):
+    """Parameter values in the arrangement that the row config cfg names."""
+    cuts = t.cuts
+    vals = {}
+    for (name, _), pl in zip(t.params, cfg):
+        if pl[0] == "pt":
+            vals[name] = cuts[pl[1]]
+            continue
+        g, rel = pl[1], pl[2]
+        lo = cuts[g - 1] if g else (cuts[0] if cuts else F(0)) - 2
+        hi = cuts[g] if g < len(cuts) else (cuts[-1] if cuts else F(0)) + 2
+        mid = (lo + hi) / 2
+        vals[name] = {None: mid, "eq": mid, "lt": (lo + mid) / 2, "gt": (mid + hi) / 2}[rel]
+    return vals
+
+
+def _assert_rows_canonical(t):
+    """No stored row has a piece that is empty in its arrangement, and the
+    pieces come in order and apart, so equal functions get equal tables."""
+    if not isinstance(t, Template):
+        return
+    for cfg, body in t.table:
+        vals = _row_values(t, cfg)
+        ends = [ep if is_inf(ep) else vals[ep[1]] if ep[0] == "s" else ep[1] for piece in body for ep in piece]
+        for i in range(len(ends) - 1):
+            assert ends[i] < ends[i + 1] if i % 2 == 0 else ends[i] <= ends[i + 1], (cfg, body)
+
+
 def _random_body(rng, params):
     names = [n for n, _ in params]
     body = []
@@ -169,6 +202,7 @@ def test_symbolic_ops_agree_with_concrete_instances():
         t2 = template_from_body(_random_body(rng, P1), P1)
         for opname in ("meet", "join", "imp"):
             out = template_op(t1, t2, opname)
+            _assert_rows_canonical(out)
             for q in _sample_qs(rng, 6):
                 v1 = template_eval(t1, {"q0": q})
                 v2 = template_eval(t2, {"q0": q})
@@ -196,6 +230,8 @@ def test_reduce_against_pointwise_elimination():
         t = template_from_body(_random_body(rng, P2), P2)
         red_meet = template_reduce(t, "q1", "meet")
         red_join = template_reduce(t, "q1", "join")
+        for out in (t, red_meet, red_join):
+            _assert_rows_canonical(out)
         for q0 in _sample_qs(rng, 4):
             m = template_eval(red_meet, {"q0": q0})
             j = template_eval(red_join, {"q0": q0})
@@ -218,6 +254,7 @@ def test_ops_on_mixed_parameter_lists_agree_with_instances():
         for x, y in itertools.permutations(pool, 2):
             for opname in ("meet", "join", "imp"):
                 out = template_op(x, y, opname)
+                _assert_rows_canonical(out)
                 for _ in range(6):
                     q0 = F(rng.randrange(-2, 6), 3)
                     vals = {"q0": q0, "q1": rng.choice([q0, q0 + F(1, 7), F(rng.randrange(-9, 9), 2)])}
