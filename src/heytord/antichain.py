@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import hf as hfmod
 from .errors import EngineError, StageIncompleteError
 from .hset import HSet, Universe
-from .ordinals import OrdinalWitnessPair, hsucc, hunion, ord_add, theta
+from .ordinals import OrdinalWitnessPair, hsucc, hunion, pair_encode, theta
 
 
 @dataclass
@@ -65,9 +65,8 @@ def perp_lift(U: Universe, P: OrdinalWitnessPair, f: MetaFunction) -> MetaFuncti
                         f"perp_lift refused: [f({hfmod.format_hf(k1)}) = f({hfmod.format_hf(k2)})] "
                         "is not below the keys' check equality"
                     )
-    a_plus = hsucc(U, P.A)
-    b_plus = hsucc(U, P.B)
-    values = {k: hunion(U, a_plus, ord_add(U, b_plus, f[k])) for k in f.domain}
+    zero = U.numeral(0)  # A+ + 0 is A+ itself
+    values = {k: pair_encode(U, P, zero, f[k]) for k in f.domain}
     return certify(U, f.domain, values)
 
 
@@ -127,11 +126,7 @@ def merge_families(U: Universe, P: OrdinalWitnessPair, stages: dict) -> MetaFunc
         for x in stage.domain:
             key = hfmod.kpair(g_num, x)
             pairs.append(key)
-            pair_vals[key] = hunion(
-                U,
-                ord_add(U, hsucc(U, P.A), g_chk),
-                ord_add(U, hsucc(U, P.B), stage[x]),
-            )
+            pair_vals[key] = pair_encode(U, P, g_chk, stage[x])
     f_tilde = certify(U, pairs, pair_vals)
     lifted = perp_lift(U, P, f_tilde)
     xs = hfmod.hf_sorted({x for g in idxs for x in stages[g].domain})

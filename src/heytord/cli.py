@@ -13,33 +13,29 @@ import sys
 
 from . import hf as hfmod
 from .antichain import build_antichain, minimal_gamma, pipeline_report
-from .errors import (
-    DepthExceededError,
-    EngineError,
-    LiteralParseError,
-    MalformedPosetError,
-    StageIncompleteError,
-)
+from .errors import DepthExceededError, EngineError, StageIncompleteError
 from .formulas import eval_formula
 from .hset import Universe
 from .intervals import IntervalAlgebra
 from .lemmas import LEMMAS, generate_pool, run_lemma
 from .order import build_upset_algebra, parse_poset, validate_algebra
-from .ordinals import _pair_from_constants, trichotomy, trivial_pair, witness_pair
+from .ordinals import trichotomy, trivial_pair, witness_pair
 from .parsing import apply_definition, apply_definitions, parse_formula
 
-def _universe(args) -> Universe:
+def _universe(args):
+    """(U, P): the universe of the chosen algebra and its pair, the certified
+    witness pair over the interval algebra and the trivial pair otherwise."""
     if getattr(args, "interval", False) and getattr(args, "poset", None):
         raise EngineError("exactly one algebra source: --poset or --interval")
     if getattr(args, "interval", False):
         U = Universe(IntervalAlgebra())
-        witness_pair(U)  # binds the constants A and B
-        return U
+        return U, witness_pair(U)  # binds the constants A and B
     if getattr(args, "poset", None):
         with open(args.poset) as fh:
             text = fh.read()
         name = args.poset.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        return Universe(build_upset_algebra(parse_poset(text, name=name)))
+        U = Universe(build_upset_algebra(parse_poset(text, name=name)))
+        return U, trivial_pair(U)
     raise EngineError("an algebra source is required: --poset FILE or --interval")
 
 
@@ -94,7 +90,7 @@ def build_parser():
 
 
 def cmd_algebra(args):
-    U = _universe(args)
+    U, _ = _universe(args)
     alg = U.algebra
     if args.action == "show":
         if alg.finite:
@@ -130,7 +126,7 @@ def cmd_algebra(args):
 
 
 def cmd_eval(args):
-    U = _universe(args)
+    U, _ = _universe(args)
     if args.defs:
         with open(args.defs) as fh:
             apply_definitions(U, fh.read())
@@ -155,19 +151,12 @@ def _lemma_pool(U, spec, args):
 
 def _run_one_lemma(src_args, lid):
     args = argparse.Namespace(**src_args)
-    U = _universe(args)
+    U, P = _universe(args)
     spec = LEMMAS[lid]
     pool = _lemma_pool(U, spec, args)
-    P = U_pair(U)
     rep = run_lemma(U, spec, pool, P, tuple_budget=args.budget,
                     seed=args.seed, pool_rank=args.rank)
     return rep.to_dict()
-
-
-def U_pair(U):
-    if isinstance(U.algebra, IntervalAlgebra):
-        return _pair_from_constants(U)
-    return trivial_pair(U)
 
 
 def cmd_lemma(args):
@@ -198,8 +187,7 @@ def cmd_lemma(args):
 def cmd_witness(args):
     if not args.interval:
         raise EngineError("witness check needs --interval")
-    U = Universe(IntervalAlgebra())
-    P = witness_pair(U)
+    U, P = _universe(args)
     alg = U.algebra
     values = {
         "A in B": alg.format_element(U.truth_mem(P.A, P.B)),
@@ -218,8 +206,7 @@ def cmd_witness(args):
 
 
 def cmd_antichain(args):
-    U = _universe(args)
-    P = U_pair(U)
+    U, P = _universe(args)
     x = hfmod.parse_hf(args.x)
     gamma = args.gamma if args.gamma is not None else minimal_gamma(x)
     f = build_antichain(U, P, x, gamma)
@@ -256,7 +243,7 @@ def execute(argv) -> int:
     except StageIncompleteError as exc:
         print(f"error: {exc} (use --gamma {exc.minimal} or higher)", file=sys.stderr)
         return 2
-    except (EngineError, LiteralParseError, MalformedPosetError, OSError) as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,8 @@ class DepthExceededError(EngineError):
 
 
 class UnsupportedAddendError(EngineError):
-    """Right addend of ordinal addition carries a family entry."""
+    """Left addend of ordinal addition carries families while the right one
+    is a family's one-parameter element shape."""
 
 
 class StageIncompleteError(EngineError):

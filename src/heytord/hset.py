@@ -439,16 +439,16 @@ class Universe:
         pc = template_from_body(point_complement_body(name), ((name, l.params[0][1]),))
         if l == pc:
             return f"!{FORMAL}"
+
+        def fmt(ep):
+            if isinstance(ep, tuple):
+                return format_rational(ep[1]) if ep[0] == "v" else FORMAL
+            return format_rational(ep)
+
+        # a row's body reads back as l only if it alone rebuilds l
         for _, body in l.table:
-            if any(isinstance(ep, tuple) and ep[0] == "s" for pair in body for ep in pair):
-
-                def fmt(ep):
-                    if isinstance(ep, tuple) and ep[0] == "v":
-                        return format_rational(ep[1])
-                    if isinstance(ep, tuple):
-                        return FORMAL
-                    return format_rational(ep)
-
+            symbolic = any(isinstance(ep, tuple) and ep[0] == "s" for pair in body for ep in pair)
+            if symbolic and template_from_body(body, l.params) == l:
                 return "|".join(f"({fmt(lo)},{fmt(hi)})" for lo, hi in body)
         return "<template>"
 

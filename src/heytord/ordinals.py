@@ -18,15 +18,17 @@ from .formulas import (
     register_pred_function,
     register_term_function,
 )
-from .hset import FORMAL, Family, HSet, Universe
+from .hset import FORMAL, Family, HSet, ParamHSet, Universe
 from .intervals import IntervalAlgebra
 from .templates import DOM_ALL, point_complement_body, template_from_body
 
 _ORD = ordinal_formula()
 
 
-def hsucc(U: Universe, u: HSet) -> HSet:
-    """u union {u}: entries of u plus (u @ top)."""
+def hsucc(U: Universe, u):
+    """u union {u}: entries of u plus (u @ top); a one-parameter shape stays one."""
+    if isinstance(u, ParamHSet):
+        return U.make_param_hset(list(u.entries) + [(u, U.algebra.top())])
     return U.make_hset(list(u.entries) + [(u, U.algebra.top())], u.families)
 
 
@@ -35,71 +37,38 @@ def hunion(U: Universe, a: HSet, b: HSet) -> HSet:
     return U.make_hset(list(a.entries) + list(b.entries), list(a.families) + list(b.families))
 
 
-def _weight(U: Universe, u: HSet, l) -> list:
-    """Entries and families of u with every label met with l."""
-    entries = [(c, U.vmeet(lab, l)) for c, lab in u.entries]
-    families = [Family(f.domain, f.elem, U.vmeet(f.label, l)) for f in u.families]
-    return entries, families
-
-
-def _padd(U: Universe, a: HSet, t):
-    """Parametric sum a + t(q) as a one-parameter shape, for family-free a.
-
-    The right template's concrete members recurse through ord_add; its own
-    parametric children recurse through _padd.  Members of the successor sums
-    are flattened with labels met through, exactly like the concrete clause."""
-    from .hset import ParamHSet
-
-    if a.families:
-        raise UnsupportedAddendError("addition with families on both sides")
-    entries = list(a.entries)
-    for c, l in t.entries:
-        if isinstance(c, ParamHSet):
-            s = ord_add_param_succ(U, a, c)
-            for z, m in s.entries:
-                entries.append((z, U.vmeet(m, l)))
-        else:
-            s = hsucc(U, ord_add(U, a, c))
-            if s.families:
-                raise DepthExceededError("family-bearing member inside a family template")
-            for z, m in s.entries:
-                entries.append((z, U.vmeet(m, l)))
-    return U.make_param_hset(entries)
-
-
-def ord_add_param_succ(U: Universe, a: HSet, t):
-    """(a + t(q))+ as a one-parameter shape."""
-    s = _padd(U, a, t)
-    return U.make_param_hset(list(s.entries) + [(s, U.algebra.top())])
-
-
-def ord_add(U: Universe, a: HSet, b: HSet) -> HSet:
+def ord_add(U: Universe, a: HSet, b):
     """Uniform ordinal addition, recursing on the right argument's entries.
 
+    A one-parameter shape b = t(q) gives the shape a + t(q), for family-free a.
     A family entry on the right flattens symbolically: its members contribute
     the entries of the parametric successor sum (a + t(q))+, with q-dependent
     weights joined out over the family's domain, plus the sum itself as a new
-    family entry."""
+    family entry.  One memo, keyed on node ids, serves both kinds of b."""
     key = (a.id, b.id)
     hit = U._add_memo.get(key)
     if hit is not None:
         return hit
+    param = isinstance(b, ParamHSet)
+    if param and a.families:
+        raise UnsupportedAddendError("addition with families on both sides")
     entries = list(a.entries)
     families = list(a.families)
     for g, l in b.entries:
         s = hsucc(U, ord_add(U, a, g))
-        went, wfam = _weight(U, s, l)
-        entries.extend(went)
-        families.extend(wfam)
+        if param and s.families:
+            raise DepthExceededError("family-bearing member inside a family template")
+        entries.extend((c, U.vmeet(m, l)) for c, m in s.entries)
+        families.extend(Family(f.domain, f.elem, U.vmeet(f.label, l)) for f in s.families)
     for fam in b.families:
-        s = ord_add_param_succ(U, a, fam.elem)
+        s = hsucc(U, ord_add(U, a, fam.elem))
         for c, l in s.entries:
             if isinstance(c, HSet):
                 w = U.eliminate(U.vmeet(fam.label, l), FORMAL, "join")
                 entries.append((c, w))
             else:
                 families.append(Family(fam.domain, c, U.vmeet(fam.label, l)))
-    out = U.make_hset(entries, families)
+    out = U.make_param_hset(entries) if param else U.make_hset(entries, families)
     U._add_memo[key] = out
     return out
 

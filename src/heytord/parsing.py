@@ -173,6 +173,8 @@ class HSetParser:
         cur.expect(":")
         elem = self._node(param=(pname, dom))
         if isinstance(elem, HSet):
+            if elem.families:
+                raise LiteralParseError("family entries cannot nest inside a family template")
             elem = self.U.make_param_hset(elem.entries)
         cur.expect("@")
         label_text = cur.scan_balanced(",}")

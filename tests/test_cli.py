@@ -161,6 +161,15 @@ def test_parametric_label_needs_interval_algebra(chain2_file, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_family_element_with_families_is_a_parse_error(capsys):
+    """A family element that carries families of its own would lose them as a
+    one-parameter shape, so the literal is refused; numerals stay legal."""
+    assert execute(["eval", "--interval", "-c", "u := {fam q in QQ : A @ 1}", "A in u"]) == 2
+    assert "cannot nest inside a family template" in capsys.readouterr().err
+    assert execute(["eval", "--interval", "-c", "u := {fam q in QQ : #2 @ 1}", "#2 in u"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_deep_input_is_a_typed_error(chain2_file, capsys):
     deep_hf = "{" * 1200 + "}" * 1200
     assert execute(["antichain", "build", "--interval", "--x", deep_hf]) == 2

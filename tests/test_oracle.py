@@ -288,3 +288,37 @@ def test_finite_truncations_of_the_witness_are_not_incomparable_with_two():
     A_F = _truncate(U, A, [Fraction(k, 3) for k in range(-9, 10)])
     assert U.truth_eq(A, U.numeral(2)) == BOT
     assert len(U.truth_eq(A_F, U.numeral(2)).ivs) == 20
+
+
+def test_printed_family_labels_read_back():
+    """A printed family set parses back to the same node, unless a label is
+    printed as <template> because no single row of its table rebuilds it."""
+    U, family_sets, _ = _family_universe()
+    # the family label here is (0, min(q, 1)): its row (0,q) alone would read back wrong
+    w = ord_add(U, U.numeral(1), parse_hset(U, "{fam q in QQ : {{#0 @ !q} @ (0,q)} @ (0,1)}"))
+    for u in family_sets + [w]:
+        text = U.format_hset(u)
+        assert "<template>" in text or parse_hset(U, text) is u, text
+    assert "<template>" in U.format_hset(w)
+
+
+def _in_domain(dom):
+    """Rationals strictly inside a family domain."""
+    if dom == DOM_ALL:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    lo, hi = dom[1], dom[2]
+    return st.integers(1, 15).map(lambda k: lo + (hi - lo) * Fraction(k, 16))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_instantiation_commutes_with_the_sum(data):
+    """(a + t)(r) is a + t(r) for every family-element shape t and numeral a;
+    one shape has a parametric child, the one place the sum recurses into one."""
+    U, family_sets, _ = _family_universe()
+    shapes = dict.fromkeys((f.domain, f.elem) for u in family_sets for f in u.families)
+    for dom, t in shapes:
+        r = data.draw(_in_domain(dom))
+        for n in range(4):
+            a = U.numeral(n)
+            assert _instance(U, ord_add(U, a, t), r) is ord_add(U, a, _instance(U, t, r)), (t, n, r)
