@@ -15,6 +15,8 @@ EMPTY = frozenset()
 _WS = re.compile(r"\s*")
 _DIGITS = re.compile(r"\d+")
 
+MAX_NUMERAL = 2048  # numeral n holds n(n+1)/2 member references in all
+
 _key_cache: dict = {}
 _rank_cache: dict = {}
 _numerals: list = [EMPTY]
@@ -50,6 +52,15 @@ def numeral(n: int) -> frozenset:
         x = _numerals[-1]
         _numerals.append(x | {x})
     return _numerals[max(n, 0)]
+
+
+def numeral_value(digits: str) -> int:
+    """The n of a numeral literal's decimal digits, refused above MAX_NUMERAL
+    since building numeral n costs memory quadratic in n.  The length test
+    comes first: int() refuses digit strings beyond 4300 digits."""
+    if len(digits.lstrip("0")) > len(str(MAX_NUMERAL)) or int(digits) > MAX_NUMERAL:
+        raise LiteralParseError(f"numeral {digits[:20]} is above the largest literal numeral {MAX_NUMERAL}")
+    return int(digits)
 
 
 def as_numeral(x: frozenset):
@@ -97,7 +108,7 @@ def parse_hf(text: str) -> frozenset:
         digits = _DIGITS.match(text, pos)
         if digits:
             pos = digits.end()
-            value = numeral(int(digits.group()))
+            value = numeral(numeral_value(digits.group()))
         elif text[pos] != "{":
             raise LiteralParseError(f"unexpected {text[pos]!r} in HF literal")
         else:

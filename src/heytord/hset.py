@@ -17,6 +17,7 @@ reproducible with the memo off.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from functools import cache, partial
 from typing import NamedTuple
 
@@ -40,17 +41,19 @@ class Family(NamedTuple):
 
 
 class HSet:
-    """Interned H-valued set node; key is its truth-memo key."""
+    """Interned H-valued set node.  key, its id, is its truth-memo key; ikey is
+    its intern key: (child id, label id) pairs sorted by child id, and
+    ((elem id, domain), label id) pairs for the families."""
 
-    __slots__ = ("id", "entries", "families", "rank", "key")
+    __slots__ = ("id", "key", "entries", "families", "rank", "ikey")
     syms = ()  # no live family parameter
 
-    def __init__(self, id, entries, families, rank):
-        self.id = id
+    def __init__(self, id, entries, families, rank, ikey):
+        self.id = self.key = id
         self.entries = entries
         self.families = families
         self.rank = rank
-        self.key = (id,)
+        self.ikey = ikey
 
     def __repr__(self):
         return f"<HSet #{self.id} rank {self.rank}>"
@@ -74,15 +77,17 @@ class ParamHSet:
 class PBound:
     """A family element template with its parameter opened as the live symbol
     sym: interned per universe, its children opened and its labels renamed
-    to sym once.  It reads like an HSet node with no families."""
+    to sym once.  It reads like an HSet node with no families; its key is a
+    negative int, unique in its universe."""
 
     __slots__ = ("entries", "syms", "key")
     families = ()
+    ikey = ((), ())  # no HSet is one of its children by key
 
-    def __init__(self, key, entries):
+    def __init__(self, key, sym, entries):
         self.entries = entries
-        self.syms = (key[1],)
-        self.key = key  # (ph.id, sym, domain)
+        self.syms = (sym,)
+        self.key = key
 
 
 def _value_op(algebra, op, x, y):
@@ -153,8 +158,8 @@ class Universe:
     the renaming of family labels in every algebra, are answered from one
     table keyed by op and ids, filled on first use; masks meet and join by &
     and |, and their imp is cached per pair.  ``memo=False`` turns off these
-    caches and the truth memo alike: every value is then computed afresh,
-    which makes it the cache-free reference.
+    caches, the truth memo and the ordinal sum memo alike: every value is
+    then computed afresh, which makes it the cache-free reference.
     """
 
     def __init__(self, algebra, memo=True):
@@ -171,6 +176,7 @@ class Universe:
         self._bot, self._top = algebra.bottom(), algebra.top()
         self._table = {} if memo else None
         self._bind_values()
+        self._top_id = self._vid(self._top)
         self.empty = self.make_hset(())
         self._add_memo = {}
 
@@ -237,15 +243,28 @@ class Universe:
         if node is None:
             vals = self._vals
             ranks = [c.rank + 1 for _, c, _ in ent] + [f.elem.rank + 1 for _, f, _ in fams]
-            rank = max(ranks, default=0)
-            node = HSet(
-                self._next_id,
+            node = self._intern(
+                key,
                 tuple((c, vals[i]) for _, c, i in ent),
                 tuple(Family(f.domain, f.elem, vals[i]) for _, f, i in fams),
-                rank,
+                max(ranks, default=0),
             )
-            self._next_id += 1
-            self._hs[key] = node
+        return node
+
+    def _intern(self, key, entries, families, rank) -> HSet:
+        node = self._hs[key] = HSet(self._next_id, entries, families, rank, key)
+        self._next_id += 1
+        return node
+
+    def succ(self, u: HSet) -> HSet:
+        """u union {u}, from u's stored key.  The new entry (u @ top) sorts last
+        and never merges, since a node's children all have smaller ids than
+        the node, so the key is u's entry key plus (u.id, top id)."""
+        ent, fams = u.ikey
+        key = (ent + ((u.id, self._top_id),), fams)
+        node = self._hs.get(key)
+        if node is None:
+            node = self._intern(key, u.entries + ((u, self._top),), u.families, u.rank + 1)
         return node
 
     def make_param_hset(self, entries) -> ParamHSet:
@@ -269,7 +288,7 @@ class Universe:
                 (self._open(c, sym, domain) if isinstance(c, ParamHSet) else c, self._formal_as(l, sym))
                 for c, l in ph.entries
             )
-            node = self._pb[key] = PBound(key, entries)
+            node = self._pb[key] = PBound(-1 - len(self._pb), sym, entries)
         return node
 
     def embed(self, x: frozenset) -> HSet:
@@ -325,43 +344,57 @@ class Universe:
         ka, kb = a.key, b.key
         if ka == kb:
             return self._top
-        key = ("eq", ka, kb) if ka < kb else ("eq", kb, ka)
+        key = (ka, kb, 0) if ka < kb else (kb, ka, 0)
         if self.memo_enabled:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        bot = self._bot
-        val = self._top
+        bot, top = self._bot, self._top
+        val = top
         for x, other in ((a, b), (b, a)):
             for child, lab in x.entries:
                 if val == bot:
                     break
-                val = self.vmeet(val, self.vimp(lab, self.truth_mem(child, other)))
+                t = self.truth_mem(child, other)
+                if lab is not top:
+                    t = self.vimp(lab, t)
+                val = t if val is top else self.vmeet(val, t)
             for fam in x.families:
                 if val == bot:
                     break
                 term = self.family_term(fam, "all", partial(self.truth_mem, v=other), other.syms)
-                val = self.vmeet(val, term)
+                val = term if val is top else self.vmeet(val, term)
         if self.memo_enabled:
             self._memo[key] = val
         return val
 
     def truth_mem(self, u, v):
-        key = ("mem", u.key, v.key)
+        key = (u.key, v.key)
         if self.memo_enabled:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        top = self._top
-        val = self._bot
+        bot, top = self._bot, self._top
+        val = bot
+        # an entry (u, l) of v is the joinand l meet [u = u] = l
+        ent = v.ikey[0]
+        j = bisect_left(ent, (u.key,))
+        if j < len(ent) and ent[j][0] == u.key:
+            val = v.entries[j][1]
+            if val is top:
+                return top
         for child, lab in v.entries:
             if val == top:
                 break
-            val = self.vjoin(val, self.vmeet(lab, self.truth_eq(child, u)))
+            t = self.truth_eq(child, u)
+            if lab is not top:
+                t = self.vmeet(lab, t)
+            val = t if val is bot else self.vjoin(val, t)
         for fam in v.families:
             if val == top:
                 break
-            val = self.vjoin(val, self.family_term(fam, "ex", partial(self.truth_eq, b=u), u.syms))
+            term = self.family_term(fam, "ex", partial(self.truth_eq, b=u), u.syms)
+            val = term if val is bot else self.vjoin(val, term)
         if self.memo_enabled:
             self._memo[key] = val
         return val

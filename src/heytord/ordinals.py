@@ -29,7 +29,7 @@ def hsucc(U: Universe, u):
     """u union {u}: entries of u plus (u @ top); a one-parameter shape stays one."""
     if isinstance(u, ParamHSet):
         return U.make_param_hset(list(u.entries) + [(u, U.algebra.top())])
-    return U.make_hset(list(u.entries) + [(u, U.algebra.top())], u.families)
+    return U.succ(u)
 
 
 def hunion(U: Universe, a: HSet, b: HSet) -> HSet:
@@ -44,22 +44,29 @@ def ord_add(U: Universe, a: HSet, b):
     A family entry on the right flattens symbolically: its members contribute
     the entries of the parametric successor sum (a + t(q))+, with q-dependent
     weights joined out over the family's domain, plus the sum itself as a new
-    family entry.  One memo, keyed on node ids, serves both kinds of b."""
+    family entry.  One memo, keyed on node ids, serves both kinds of b; it is
+    off with the universe's memo."""
     key = (a.id, b.id)
-    hit = U._add_memo.get(key)
-    if hit is not None:
-        return hit
+    if U.memo_enabled:
+        hit = U._add_memo.get(key)
+        if hit is not None:
+            return hit
     param = isinstance(b, ParamHSet)
     if param and a.families:
         raise UnsupportedAddendError("addition with families on both sides")
+    top = U.algebra.top()
     entries = list(a.entries)
     families = list(a.families)
     for g, l in b.entries:
         s = hsucc(U, ord_add(U, a, g))
         if param and s.families:
             raise DepthExceededError("family-bearing member inside a family template")
-        entries.extend((c, U.vmeet(m, l)) for c, m in s.entries)
-        families.extend(Family(f.domain, f.elem, U.vmeet(f.label, l)) for f in s.families)
+        if l is top:
+            entries.extend(s.entries)
+            families.extend(s.families)
+        else:
+            entries.extend((c, U.vmeet(m, l)) for c, m in s.entries)
+            families.extend(Family(f.domain, f.elem, U.vmeet(f.label, l)) for f in s.families)
     for fam in b.families:
         s = hsucc(U, ord_add(U, a, fam.elem))
         for c, l in s.entries:
@@ -69,7 +76,8 @@ def ord_add(U: Universe, a: HSet, b):
             else:
                 families.append(Family(fam.domain, c, U.vmeet(fam.label, l)))
     out = U.make_param_hset(entries) if param else U.make_hset(entries, families)
-    U._add_memo[key] = out
+    if U.memo_enabled:
+        U._add_memo[key] = out
     return out
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from . import formulas as F
 from .errors import DepthExceededError, LiteralParseError
+from .hf import numeral_value
 from .hset import FORMAL, Family, HSet, Universe
 from .intervals import IntervalAlgebra, iv_canon, parse_interval_set, parse_rational
 from .ivcore import is_inf
@@ -102,12 +103,12 @@ class HSetParser:
         cur.skip_ws()
         if cur.take("#"):
             digits = ""
-            while cur.pos < len(cur.text) and cur.text[cur.pos].isdigit():
+            while cur.pos < len(cur.text) and cur.text[cur.pos].isdecimal():
                 digits += cur.text[cur.pos]
                 cur.pos += 1
             if not digits:
                 raise LiteralParseError("expected digits after #")
-            return self.U.numeral(int(digits))
+            return self.U.numeral(numeral_value(digits))
         if cur.peek("{"):
             return self._braced(param)
         name = cur.peek_ident()

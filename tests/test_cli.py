@@ -118,15 +118,16 @@ def test_console_script_entry_point(chain2_file):
 
 def test_deep_numerals_stay_polynomial(tmp_path):
     """Comparing two equal but distinct copies of the numeral n takes about
-    2**n steps; with one shared object per numeral this runs in about a second.
-    The timeout makes a regression fail instead of hang."""
+    2**n steps.  With one shared object per numeral, and membership starting
+    from the element's own entry, this runs in about a second.  The timeout
+    makes a regression fail instead of hang."""
     import subprocess
     import sys
 
     chain1 = tmp_path / "chain1.poset"
     chain1.write_text(poset_file_text(zoo()["chain1"]))
     proc = subprocess.run(
-        [sys.executable, "-m", "heytord", "eval", "--poset", str(chain1), "#100 in #101"],
+        [sys.executable, "-m", "heytord", "eval", "--poset", str(chain1), "#1000 in #1001"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -177,3 +178,14 @@ def test_deep_input_is_a_typed_error(chain2_file, capsys):
     deep_hset = "u := " + "{" * 600 + "}" + " @ {a,b}}" * 599
     assert execute(["eval", "--poset", chain2_file, "-c", deep_hset, "#0 in u"]) == 2
     assert "nests too deeply" in capsys.readouterr().err
+
+
+def test_huge_numeral_literal_is_a_typed_error(chain2_file, capsys):
+    """Numeral n costs memory quadratic in n, so literals above 2048 are refused;
+    a digit that is not a decimal digit is no numeral."""
+    assert execute(["eval", "--poset", chain2_file, "#100000 in #1"]) == 2
+    assert "largest literal numeral" in capsys.readouterr().err
+    assert execute(["antichain", "build", "--interval", "--x", "{100000}"]) == 2
+    assert "largest literal numeral" in capsys.readouterr().err
+    assert execute(["eval", "--poset", chain2_file, "#\u00b2 in #1"]) == 2
+    assert "expected digits after #" in capsys.readouterr().err

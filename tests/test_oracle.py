@@ -98,12 +98,17 @@ def _zoo_universe(name):
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(ZOO)), st.data())
 def test_forcing_oracle_agrees_on_zoo_pools(name, data):
+    """Independent draws, and u drawn among v's own children, where [u in v]
+    starts from u's entry label."""
     U, pool = _zoo_universe(name)
-    u = data.draw(st.sampled_from(pool))
     v = data.draw(st.sampled_from(pool))
+    pairs = [(data.draw(st.sampled_from(pool)), v)]
+    if v.entries:
+        pairs.append((data.draw(st.sampled_from(v.entries))[0], v))
     above = _above(ZOO[name])
-    assert U.truth_mem(u, v) == forcing_value(above, _forces_mem, u, v)
-    assert U.truth_eq(u, v) == forcing_value(above, _forces_eq, u, v)
+    for u, v in pairs:
+        assert U.truth_mem(u, v) == forcing_value(above, _forces_mem, u, v)
+        assert U.truth_eq(u, v) == forcing_value(above, _forces_eq, u, v)
 
 
 def _zigzag_above(n):
@@ -166,13 +171,15 @@ def test_zigzag_forcing_oracle_agrees_on_interval_literals(a, b):
         return sum(1 << j for j, r in enumerate(samples) if contains_rational(l, r))
 
     seen = {}
-    ku, kv = _kripke_node(u, upset, seen), _kripke_node(v, upset, seen)
     above = _zigzag_above(len(cuts))
-    for truth, forces in ((U.truth_mem, _forces_mem), (U.truth_eq, _forces_eq)):
-        value = truth(u, v)
-        # the value lies in the subalgebra, where upset is one-to-one
-        assert {e for pair in value.ivs for e in pair if isinstance(e, Fraction)} <= set(cuts)
-        assert upset(value) == forcing_value(above, forces, ku, kv), (a, b)
+    # each of v's own children too, where [c in v] starts from c's entry label
+    for x in (u, *(c for c, _ in v.entries)):
+        kx, kv = _kripke_node(x, upset, seen), _kripke_node(v, upset, seen)
+        for truth, forces in ((U.truth_mem, _forces_mem), (U.truth_eq, _forces_eq)):
+            value = truth(x, v)
+            # the value lies in the subalgebra, where upset is one-to-one
+            assert {e for pair in value.ivs for e in pair if isinstance(e, Fraction)} <= set(cuts)
+            assert upset(value) == forcing_value(above, forces, kx, kv), (a, b, U.format_hset(x))
 
 
 def test_memo_off_interval_witness_and_theta_values():
@@ -191,6 +198,32 @@ def test_memo_off_interval_witness_and_theta_values():
         runs.append((witness, f.theta_values, g.theta_values))
     assert runs[0] == runs[1]
     assert len(runs[0][2]) == 21
+
+
+def test_memo_off_sums_are_not_memoized():
+    """The cache-free reference recomputes every sum, so a wrong add-memo key
+    cannot act alike on both sides of the memo-off comparisons."""
+    U = Universe(IntervalAlgebra(), memo=False)
+    P = witness_pair(U)
+    pair_encode(U, P, U.numeral(1), U.numeral(0))
+    assert len(U._add_memo) == 0
+
+
+def _fresh_successors_agree(U, nodes):
+    top = U.algebra.top()
+    for u in nodes:
+        assert hsucc(U, u) is U.make_hset(list(u.entries) + [(u, top)], u.families), U.format_hset(u)
+
+
+def test_successor_from_the_stored_key_is_the_interned_successor():
+    """hsucc builds u union {u} from u's stored key; make_hset builds it from
+    the entries, merging and sorting afresh.  Both must give the one node."""
+    for name in sorted(ZOO):
+        U, pool = _zoo_universe(name)
+        _fresh_successors_agree(U, pool)
+    U, family_sets, partners = _family_universe()
+    P = witness_pair(U)
+    _fresh_successors_agree(U, [P.A, hsucc(U, P.A), pair_encode(U, P, U.numeral(2), P.A)] + family_sets + partners)
 
 
 def test_value_table_matches_fresh_computation():
